@@ -1,8 +1,11 @@
 """Circle-method applications: weighted triple counts, Euler local factors,
 the local-global density formulas, and the extremal sign-pattern constants.
 
-Counting oracles run through exact convolution (FFT with integer rounding
-checks) or raw double loops; predictions assemble an archimedean factor, a
+Counting oracles run through one exact linear convolution (`_convolve`) or
+raw double loops.  Integer coefficient arrays are convolved by real FFTs
+(rfft/irfft) and rounded back to integers, with the rounding residual checked;
+an array convolved with itself is transformed once.  Complex arrays use the
+full complex FFT.  Predictions assemble an archimedean factor, a
 principality gate, and per-prime local factors evaluated as exact finite
 residue sums mod p^e.  Local sums are computed by pushing gcd-stratified
 weights onto residues and convolving, never by raw triple loops.
@@ -97,56 +100,64 @@ def triple_sum_direct(prob: TripleProblem, sieve: SieveTable | None = None) -> c
     return complex(total)
 
 
+def _convolve(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """Linear convolution of fa and ga, of length len(fa) + len(ga) - 1.
+
+    Real (integer-valued) inputs go through rfft/irfft; the result is rounded
+    to int64 and the rounding residual asserted below 0.4.  Complex inputs go
+    through the complex FFT, unrounded.  Passing the same array twice
+    transforms it once.
+    """
+    n = len(fa) + len(ga) - 1
+    if np.iscomplexobj(fa) or np.iscomplexobj(ga):
+        L = int(next_fast_len(n))
+        F = np.fft.fft(fa, L)
+        G = F if ga is fa else np.fft.fft(ga, L)
+        return np.fft.ifft(F * G)[:n]
+    L = int(next_fast_len(n, real=True))
+    F = np.fft.rfft(fa, L)
+    G = F if ga is fa else np.fft.rfft(ga, L)
+    conv = np.fft.irfft(F * G, L)[:n]
+    rounded = np.rint(conv)
+    resid = float(np.max(np.abs(conv - rounded)))
+    if resid >= 0.4:
+        raise DomainError(f"convolution rounding residual {resid} too large")
+    return rounded.astype(np.int64)
+
+
 def triple_sum_fft(prob: TripleProblem, sieve: SieveTable | None = None) -> complex:
     """The same count through one discrete convolution of coefficient arrays.
 
-    With {-1,0,1}-valued weights the convolution is rounded to integers and
-    the rounding residual is asserted below 0.4.
+    With {-1,0,1}-valued weights the arrays are real: the convolution runs on
+    rfft spectra, is rounded to integers (rounding residual asserted below
+    0.4) and the count is an exact int64 dot product.  Complex weights use the
+    complex FFT.  When g is f with equal coefficients (f = g = h, say) the
+    array is transformed once.
     """
     exact = prob.f.exact_int and prob.g.exact_int and prob.h.exact_int
+    dtype = np.float64 if exact else np.complex128
+    top = prob.x if prob.mode == "linear" else prob.N - 1
+
+    def coefficients(fn: MultFunc, mult: int) -> np.ndarray:
+        arr = np.zeros(mult * top + 1, dtype=dtype)
+        arr[mult * np.arange(1, top + 1)] = eval_range(fn, prob.scale, sieve)[1 : top + 1]
+        return arr
+
+    fa = coefficients(prob.f, prob.a)
+    ga = fa if prob.g is prob.f and prob.a == prob.b else coefficients(prob.g, prob.b)
+    conv = _convolve(fa, ga)
     if prob.mode == "linear":
-        x = prob.x
-        fa = np.zeros(prob.a * x + 1)
-        ga = np.zeros(prob.b * x + 1)
-        if exact:
-            fa[prob.a * np.arange(1, x + 1)] = eval_range(prob.f, x, sieve)[1:]
-            ga[prob.b * np.arange(1, x + 1)] = eval_range(prob.g, x, sieve)[1:]
-        else:
-            fa = fa.astype(np.complex128)
-            ga = ga.astype(np.complex128)
-            fa[prob.a * np.arange(1, x + 1)] = eval_range(prob.f, x, sieve)[1:]
-            ga[prob.b * np.arange(1, x + 1)] = eval_range(prob.g, x, sieve)[1:]
-        L = int(next_fast_len(len(fa) + len(ga) - 1))
-        conv = np.fft.ifft(np.fft.fft(fa, L) * np.fft.fft(ga, L))[: len(fa) + len(ga) - 1]
-        hv = eval_range(prob.h, x, sieve)
-        n = np.arange(1, x + 1)
-        idx = prob.c * n
+        idx = prob.c * np.arange(1, top + 1)
         idx = idx[idx < len(conv)]
-        if exact:
-            rounded = np.rint(conv.real)
-            resid = float(np.max(np.abs(conv[idx] - rounded[idx])))
-            if resid >= 0.4:
-                raise DomainError(f"convolution rounding residual {resid} too large")
-            tot = np.sum(rounded[idx] * hv[n[: len(idx)]].astype(np.float64))
-            return complex(round(float(tot)))
-        return complex(np.sum(conv[idx] * hv[n[: len(idx)]].astype(np.complex128)))
-    N = prob.N
-    fa = np.zeros(N, dtype=np.float64 if exact else np.complex128)
-    ga = np.zeros(N, dtype=np.float64 if exact else np.complex128)
-    fa[1:N] = eval_range(prob.f, N - 1, sieve)[1:N]
-    ga[1:N] = eval_range(prob.g, N - 1, sieve)[1:N]
-    L = int(next_fast_len(2 * N))
-    conv = np.fft.ifft(np.fft.fft(fa, L) * np.fft.fft(ga, L))
-    hv = eval_range(prob.h, N, sieve)
-    n = np.arange(1, N - 1)
-    vals = conv[N - n]
+        vals = conv[idx]
+        hv = eval_range(prob.h, top, sieve)[1 : len(idx) + 1]
+    else:
+        n = np.arange(1, prob.N - 1)
+        vals = conv[prob.N - n]
+        hv = eval_range(prob.h, prob.N, sieve)[n]
     if exact:
-        rounded = np.rint(vals.real)
-        resid = float(np.max(np.abs(vals - rounded)))
-        if resid >= 0.4:
-            raise DomainError(f"convolution rounding residual {resid} too large")
-        return complex(round(float(np.sum(rounded * hv[n].astype(np.float64)))))
-    return complex(np.sum(vals * hv[n].astype(np.complex128)))
+        return complex(int(np.dot(vals, hv.astype(np.int64))))
+    return complex(np.sum(vals * hv.astype(np.complex128)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,33 +645,35 @@ def signpattern_density(
     sieve: SieveTable | None = None,
 ) -> tuple[float, float]:
     """(oracle, predicted) density of a + b = c <= x with f(a) = eps1,
-    g(b) = eps2, h(c) = eps3, for {-1,1}-valued weights.
+    g(b) = eps2, h(c) = eps3, for {-1,1}-valued weights (a zero of f, g or
+    h contributes the factor 1; complex weights are a domain error).
 
-    Oracle: the eight expanded convolution counts of the indicator product.
+    Oracle: the exact integer
+    sum_{a+b=c<=x} (1 + eps1 f(a))(1 + eps2 g(b))(1 + eps3 h(c)), divided by
+    8 x^2/2, from one exact convolution of the 0/1/2-valued arrays
+    1 + eps1 f and 1 + eps2 g, weighted by 1 + eps3 h(c).
     Prediction: the independent-product form corrected by (C_P - 1) on the
     triple term, P = {p <= z : f(p) = g(p) = h(p) = -1}.
     """
     if any(e not in (-1, 1) for e in (eps1, eps2, eps3)):
         raise DomainError("sign pattern entries must be +-1")
+    if not (f.exact_int and g.exact_int and h.exact_int):
+        raise DomainError("sign patterns need {-1,0,1}-valued weights")
     x = int(x)
     if z is None:
         z = math.log(x)
     sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
-    from .multfunc import One
 
-    one = One()
-    total = 0.0
-    norm = x * x / 2.0
-    for sf in (False, True):
-        for sg in (False, True):
-            for sh in (False, True):
-                prob = TripleProblem(
-                    f if sf else one, g if sg else one, h if sh else one, 1, 1, 1, x=x
-                )
-                cnt = triple_sum_fft(prob, sieve).real
-                w = (eps1 if sf else 1) * (eps2 if sg else 1) * (eps3 if sh else 1)
-                total += w * cnt
-    oracle = total / (8.0 * norm)
+    def weights(fn: MultFunc, eps: int) -> np.ndarray:
+        w = 1.0 + eps * eval_range(fn, x, sieve).astype(np.float64)
+        w[0] = 0.0
+        return w
+
+    wf = weights(f, eps1)
+    wg = wf if g is f and eps2 == eps1 else weights(g, eps2)
+    conv = _convolve(wf, wg)[1 : x + 1]
+    wh = 1 + eps3 * eval_range(h, x, sieve)[1:].astype(np.int64)
+    oracle = int(np.dot(conv, wh)) / (8.0 * (x * x / 2.0))
 
     deltas = [complex(mu_mean(fn, x, sieve)).real for fn in (f, g, h)]
     primes = sieve.primes_upto(z)
@@ -717,18 +730,14 @@ def fs_mean_over_sumset(
     B = np.asarray(B, dtype=np.int64)
     smax = int(A.max() + B.max())
     sieve = sieve if sieve is not None and sieve.limit >= smax else get_sieve(max(smax, 2))
-    wts = np.zeros(smax + 1)
     ia = np.zeros(int(A.max()) + 1)
     ib = np.zeros(int(B.max()) + 1)
     ia[A] = 1.0
     ib[B] = 1.0
-    L = int(next_fast_len(len(ia) + len(ib)))
-    conv = np.fft.ifft(np.fft.fft(ia, L) * np.fft.fft(ib, L)).real
-    wts[: len(ia) + len(ib) - 1] = np.rint(conv[: len(ia) + len(ib) - 1])
+    wts = _convolve(ia, ib).astype(np.float64)
     denom = float(len(A) * len(B))
 
     fs_vals = eval_range(split.F_s, smax, sieve).astype(np.complex128)
-    s = np.arange(smax + 1)
     direct = complex(np.sum(wts * fs_vals) / denom)
 
     kappa = KappaFunction(split.f, split.psi, split.t)

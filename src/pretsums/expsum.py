@@ -1,7 +1,10 @@
 """Exact exponential sums R_f(alpha, x) and their main-term predictors.
 
-The oracles are honest O(x) summations with compensated accumulation.  The
-predictors assemble, per ranked frame (psi_j mod r_j, t_j), the term
+The oracles are honest O(x) summations with compensated accumulation.  At a
+rational alpha = a/q (beta = 0) with {-1,0,1}-valued f they are exact: f is
+summed by residue class mod q in integers, and only the q class sums meet
+the roots of unity.  The predictors assemble, per ranked frame
+(psi_j mod r_j, t_j), the term
 
     conj(psi_j)(a) g(psi_j) kappa_j(q/r_j) I(x, beta, t_j) S_{f_j}(x) / phi(q)
 
@@ -26,6 +29,7 @@ from .multfunc import (
     KappaFunction,
     MultFunc,
     eval_range,
+    fsum_complex,
     k_factor,
     mean_value,
     twist,
@@ -38,13 +42,24 @@ TAU = (2.0 - math.sqrt(2.0)) / 3.0
 ETA = 1.0 - 2.0 / math.pi
 
 
-def _fsum_complex(re: np.ndarray, im: np.ndarray) -> complex:
-    return complex(math.fsum(re), math.fsum(im))
-
-
 # ---------------------------------------------------------------------------
 # exact sums
 # ---------------------------------------------------------------------------
+
+
+def _exact_dot(c: np.ndarray, w: np.ndarray) -> float:
+    """sum c[k] w[k], correctly rounded, for int64 c with |c| < 2^53.
+
+    c splits into 2^26-multiples and a remainder below 2^26, and w into two
+    26-bit halves (Veltkamp), so each of the four partial products is exact
+    in float64 and math.fsum rounds their sum once.
+    """
+    c_hi = (c >> 26) << 26
+    c_lo = c - c_hi
+    s = w * 134217729.0  # 2^27 + 1
+    w_hi = s - (s - w)
+    w_lo = w - w_hi
+    return math.fsum(np.concatenate([c_hi * w_hi, c_hi * w_lo, c_lo * w_hi, c_lo * w_lo]))
 
 
 def direct_sum(f: MultFunc, alpha: float, x: int, sieve: SieveTable | None = None) -> complex:
@@ -53,20 +68,32 @@ def direct_sum(f: MultFunc, alpha: float, x: int, sieve: SieveTable | None = Non
     n = np.arange(x + 1)
     ph = np.exp(2j * np.pi * np.mod(n * float(alpha), 1.0))
     z = vals * ph
-    return _fsum_complex(z.real, z.imag)
+    return fsum_complex(z)
 
 
 def direct_sum_rational(
     f: MultFunc, a: int, q: int, beta: float, x: int, sieve: SieveTable | None = None
 ) -> complex:
-    """R_f(a/q + beta, x) with the rational phase folded exactly mod q."""
-    vals = eval_range(f, x, sieve).astype(np.complex128)
-    n = np.arange(x + 1)
+    """R_f(a/q + beta, x) with the rational phase folded exactly mod q.
+
+    For {-1,0,1}-valued f at beta = 0, f is summed per residue class n mod q
+    in integers and the q class sums meet the roots e(an/q) in exact products
+    (_exact_dot), so the result is the correctly rounded value of the sum.
+    """
+    vals = eval_range(f, x, sieve)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    z = vals * roots[(n * (a % q)) % q]
+    if vals.dtype == np.int8 and beta == 0.0:
+        padded = np.zeros(-(-(x + 1) // q) * q, dtype=np.int8)
+        padded[: x + 1] = vals
+        classes = padded.reshape(-1, q).sum(axis=0, dtype=np.int64)
+        w = roots[(np.arange(q) * (a % q)) % q]
+        return complex(_exact_dot(classes, w.real), _exact_dot(classes, w.imag))
+    n = np.arange(x + 1)
+    cvals = vals.astype(np.complex128)
+    z = cvals * roots[(n * (a % q)) % q]
     if beta != 0.0:
         z = z * np.exp(2j * np.pi * np.mod(n * beta, 1.0))
-    return _fsum_complex(z.real, z.imag)
+    return fsum_complex(z)
 
 
 def friable_sum(
@@ -79,7 +106,7 @@ def friable_sum(
     mask = sieve.lpf[: x + 1] <= y
     mask[0] = False
     z = vals[mask] * np.exp(2j * np.pi * np.mod(n[mask] * float(alpha), 1.0))
-    return _fsum_complex(z.real, z.imag)
+    return fsum_complex(z)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +412,7 @@ def predict_twisted(
     vals = eval_range(f, x, sieve).astype(np.complex128)
     n = np.arange(x + 1)
     z = vals * h.values_on(n)
-    oracle = _fsum_complex(z.real, z.imag)
+    oracle = fsum_complex(z)
     return PredictionReport(oracle=oracle, predicted=total, terms=terms, err_budget=float("nan"))
 
 
@@ -406,7 +433,7 @@ def ap_sum(
         sel = vals[n % q == a % q]
         if sel.dtype == np.int8:
             return int(np.sum(sel, dtype=np.int64))
-        return _fsum_complex(sel.real, sel.imag)
+        return fsum_complex(sel)
     if mode != "predicted":
         raise DomainError(f"ap_sum mode must be direct or predicted, got {mode}")
     if gcd(a, q) != 1:
@@ -534,19 +561,35 @@ def exponential_sum_grid(f: MultFunc, x: int, M: int, sieve: SieveTable | None =
 
 
 def _mark_major(M: int, x: int, eps: float) -> np.ndarray:
-    """Boolean mask over the grid k/M of membership in some arc with q <= Q1."""
+    """Boolean mask over the grid k/M of membership in some arc with q <= Q1.
+
+    Arc a/q covers the grid points ceil((a/q - w) M) .. floor((a/q + w) M)
+    mod M, w = arc_halfwidth(q, x), for 0 <= a <= q coprime to q; the runs
+    are laid down together as +1/-1 marks whose cumulative sum is the cover.
+    """
     _, Q1 = thresholds(x, eps)
-    mask = np.zeros(M, dtype=bool)
-    for q in range(1, int(Q1) + 1):
-        w = arc_halfwidth(q, x)
-        for a in range(q + 1):
-            if gcd(a, q) != 1:
-                continue
-            lo = int(math.ceil((a / q - w) * M))
-            hi = int(math.floor((a / q + w) * M))
-            if lo <= hi:
-                mask[np.arange(lo, hi + 1) % M] = True
-    return mask
+    qs = range(1, int(Q1) + 1)
+    if not qs:
+        return np.zeros(M, dtype=bool)
+    q = np.repeat(qs, [k + 1 for k in qs])
+    a = np.concatenate([np.arange(k + 1) for k in qs])
+    keep = np.gcd(a, q) == 1
+    a, q = a[keep], q[keep]
+    w = arc_halfwidth(q, x)
+    lo = np.ceil((a / q - w) * M).astype(np.int64)
+    hi = np.floor((a / q + w) * M).astype(np.int64)
+    lo, hi = lo[lo <= hi], hi[lo <= hi]
+    if np.any(hi - lo + 1 >= M):
+        return np.ones(M, dtype=bool)
+    start = lo % M
+    stop = start + (hi - lo) + 1  # exclusive; past M the run wraps to 0
+    wrap = stop > M
+    marks = np.zeros(M + 1, dtype=np.int32)
+    np.add.at(marks, start, 1)
+    np.add.at(marks, np.minimum(stop, M), -1)
+    np.add.at(marks, stop[wrap] - M, -1)
+    marks[0] += np.count_nonzero(wrap)
+    return np.cumsum(marks[:M], dtype=np.int32) > 0
 
 
 @dataclass
@@ -585,6 +628,11 @@ def minor_arc_energy(
     M >= 2x + 1 makes the grid mean of |R|^2 equal the integral exactly
     (|R|^2 is a trigonometric polynomial of degree 2x), so total agrees with
     the coefficient energy sum |f(n)|^2 to rounding.
+
+    For {-1,0,1}-valued f the coefficients are real, so |R(k/M)| = |R(-k/M)|
+    and one rfft gives the half spectrum k = 0..M//2: bin k stands for the
+    grid points k and M - k, each weighted by its own arc mask, with bins 0
+    and M/2 (M even) counted once.  Complex f takes the full grid.
     """
     if M is None:
         # 4x beyond the exactness bound: spacing ~ x/M in the scaled frequency
@@ -595,14 +643,26 @@ def minor_arc_energy(
     if M < 2 * x + 1:
         raise DomainError(f"grid size {M} below the exactness bound 2x+1 = {2 * x + 1}")
     sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
-    R = exponential_sum_grid(f, x, M, sieve)
-    p2 = np.abs(R) ** 2
-    total = float(np.sum(p2) / M)
     vals = eval_range(f, x, sieve)
-    coeff = float(np.sum(np.abs(vals.astype(np.complex128)) ** 2))
     mask = _mark_major(M, x, eps)
-    major = float(np.sum(p2[mask]) / M)
-    minor = float(np.sum(p2[~mask]) / M)
+    if vals.dtype == np.int8:
+        p2 = np.abs(np.fft.rfft(vals, M)) ** 2
+        K = len(p2)
+        mirrored = np.ones(K)  # 1 where bin k also stands for M - k
+        mirrored[0] = 0.0
+        if M % 2 == 0:
+            mirrored[-1] = 0.0
+        major_w = mask[:K] + mirrored * np.concatenate(([False], mask[: M - K : -1]))
+        total = float(np.sum(p2 * (1.0 + mirrored)) / M)
+        major = float(np.sum(p2 * major_w) / M)
+        minor = float(np.sum(p2 * (1.0 + mirrored - major_w)) / M)
+        coeff = float(np.count_nonzero(vals))
+    else:
+        p2 = np.abs(exponential_sum_grid(f, x, M, sieve)) ** 2
+        total = float(np.sum(p2) / M)
+        major = float(np.sum(p2[mask]) / M)
+        minor = float(np.sum(p2[~mask]) / M)
+        coeff = float(np.sum(np.abs(vals.astype(np.complex128)) ** 2))
     return EnergyReport(
         x=x,
         M=M,

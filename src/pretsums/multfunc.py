@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -402,7 +401,8 @@ def prefix_sums(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndar
     return _cache_put(_PREFIX_CACHE, key, out)
 
 
-def _fsum_complex(arr: np.ndarray) -> complex:
+def fsum_complex(arr: np.ndarray) -> complex:
+    """Compensated (math.fsum) sum of a real or complex array, as a complex."""
     if np.iscomplexobj(arr):
         return complex(math.fsum(arr.real), math.fsum(arr.imag))
     return complex(math.fsum(arr), 0.0)
@@ -421,13 +421,13 @@ def mean_value(
     if chi is None or chi.q == 1:
         if vals.dtype == np.int8:
             return int(np.sum(vals, dtype=np.int64))
-        return _fsum_complex(vals[1:])
+        return fsum_complex(vals[1:])
     n = np.arange(x + 1)
     ct = chi.values_exact()
     if ct is not None and vals.dtype == np.int8:
         return int(np.sum(vals.astype(np.int64) * ct[n % chi.q].astype(np.int64)))
     cvals = np.conj(chi.values())[n % chi.q]
-    return _fsum_complex(vals * cvals)
+    return fsum_complex(vals * cvals)
 
 
 def mu_mean(f: MultFunc, x: int, sieve: SieveTable | None = None) -> complex:
@@ -522,10 +522,6 @@ class KappaFunction:
         return out
 
 
-def kappa_eval(kappa: KappaFunction, m: int, sieve: SieveTable) -> complex:
-    return kappa.eval(m, sieve)
-
-
 def k_factor(f_j: MultFunc, m: int, sieve: SieveTable) -> complex:
     """prod over p | m of (1 - f_j(p)/p); the argument is the twisted f_j."""
     out: complex = 1
@@ -561,8 +557,3 @@ def build_adaptive_extremal(
         if p > x / 2:
             items.append((p, cmath.exp(2j * math.pi * (theta - p * alpha))))
     return PiecewiseZ(base, PrimeTable(tuple(items)), x / 2)
-
-
-@lru_cache(maxsize=None)
-def principal_character() -> DirichletCharacter:
-    return DirichletCharacter(1, ())

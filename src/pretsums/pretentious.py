@@ -77,6 +77,8 @@ def select_t(f: MultFunc, x: int, T: float) -> float:
     """
     if x < 3:
         raise DomainError(f"select_t needs x >= 3, got {x}")
+    if not T >= 0:
+        raise DomainError(f"select_t needs a range T >= 0, got {T}")
     if T > math.log(x) * (1 + 1e-9):
         import warnings
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from pretsums.circle import (
     triple_sum_fft,
 )
 from pretsums.errors import DomainError
+from pretsums.funcspec import parse_multfunc
 from pretsums.multfunc import (
     Indicator,
     ListRule,
@@ -247,6 +249,60 @@ def test_signpattern(sieve):
     assert abs(oracle - pred) / pred < 0.05
     with pytest.raises(DomainError):
         signpattern_density(one, one, one, 0, 1, 1, 100, sieve=sieve)
+
+
+def _eight_term_density(f, g, h, eps, x, sieve):
+    """The sign-pattern density as the eight expanded triple counts."""
+    one = One()
+    total = 0
+    for sf, sg, sh in itertools.product((False, True), repeat=3):
+        prob = TripleProblem(f if sf else one, g if sg else one, h if sh else one, 1, 1, 1, x=x)
+        w = (eps[0] if sf else 1) * (eps[1] if sg else 1) * (eps[2] if sh else 1)
+        total += w * int(triple_sum_fft(prob, sieve).real)
+    return total / (8.0 * (x * x / 2.0))
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        ("randpm:3", "legendre:7", "minus-all"),  # f != g != h, zeros in g
+        ("legendre:7", "randpm:5", "randpm:6"),  # f with zeros
+        ("randpm:4",),  # f = g = h, one object
+    ],
+)
+def test_signpattern_matches_eight_term_expansion(sieve, specs):
+    fs = [parse_multfunc(s) for s in specs]
+    f, g, h = fs if len(fs) == 3 else fs * 3
+    x = 2003
+    for eps in itertools.product((-1, 1), repeat=3):
+        oracle, _ = signpattern_density(f, g, h, *eps, x, sieve=sieve)
+        assert oracle == _eight_term_density(f, g, h, eps, x, sieve)
+
+
+def test_signpattern_rejects_complex_weights(sieve):
+    with pytest.raises(DomainError):
+        signpattern_density(legendre(5), parse_multfunc("char:5:1"), One(), 1, 1, 1, 100, sieve=sieve)
+
+
+@pytest.mark.parametrize("spec", ["randpm:4", "legendre:7", "char:5:1"])
+def test_triple_fft_self_convolution_matches_direct(sieve, spec):
+    """f = g (one object) transforms the shared array once; a != b must not."""
+    f = parse_multfunc(spec)
+    g = legendre(5)
+    probs = [
+        TripleProblem(f, f, f, 1, 1, 1, x=400),
+        TripleProblem(f, f, g, 2, 2, 3, x=300),
+        TripleProblem(f, f, f, 2, 1, 1, x=300),
+        TripleProblem(f, f, f, 1, 3, 2, x=300),
+        TripleProblem(f, f, f, mode="partition", N=401),
+        TripleProblem(f, f, g, mode="partition", N=300),
+    ]
+    for prob in probs:
+        direct, fft = triple_sum_direct(prob, sieve), triple_sum_fft(prob, sieve)
+        if f.exact_int:
+            assert direct == fft
+        else:
+            assert abs(direct - fft) <= 1e-9 * prob.scale**2
 
 
 def test_fs_mean_over_sumset(sieve):

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from pretsums.characters import enumerate_characters, periodic_exp_fraction, periodic_kloosterman, periodic_one
 from pretsums.errors import DomainError
+from pretsums import expsum
 from pretsums.expsum import (
+    _exact_dot,
     _mark_major,
     ap_sum,
     arc_decompose_Rf,
+    arc_halfwidth,
     bound_report,
     classify_alpha,
     direct_sum,
@@ -28,7 +32,8 @@ from pretsums.expsum import (
     thresholds,
     twisted_coefficient,
 )
-from pretsums.multfunc import KappaFunction, One, RandomSign, legendre, liouville
+from pretsums.funcspec import parse_multfunc
+from pretsums.multfunc import KappaFunction, One, RandomSign, eval_range, legendre, liouville
 from pretsums.pretentious import select_frames
 
 FIB = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
@@ -244,6 +249,85 @@ def test_mask_matches_classifier(sieve):
     for k in rng.integers(0, M, 200):
         arc = classify_alpha(Fraction(int(k), M), x)
         assert (arc.regime == "major") == bool(mask[int(k)])
+
+
+def _loop_mark_major(M: int, x: int, eps: float) -> np.ndarray:
+    """One index range per arc a/q, laid down in a Python loop."""
+    _, Q1 = thresholds(x, eps)
+    mask = np.zeros(M, dtype=bool)
+    for q in range(1, int(Q1) + 1):
+        w = arc_halfwidth(q, x)
+        for a in range(q + 1):
+            if math.gcd(a, q) != 1:
+                continue
+            lo = int(math.ceil((a / q - w) * M))
+            hi = int(math.floor((a / q + w) * M))
+            if lo <= hi:
+                mask[np.arange(lo, hi + 1) % M] = True
+    return mask
+
+
+@pytest.mark.parametrize("x", [4, 100, 2**12, 2**14])
+def test_mark_major_matches_loop(x):
+    for M in (int(next_fast_len(8 * (x + 1))), 2 * x + 1, 2 * x + 3):
+        assert np.array_equal(_mark_major(M, x, 0.1), _loop_mark_major(M, x, 0.1))
+
+
+@pytest.mark.parametrize("spec", ["randpm:3", "legendre:7", "one"])
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_half_spectrum_energy_matches_full_grid(sieve, monkeypatch, spec, asymmetric):
+    """The rfft half spectrum gives the full-grid sums of |R(k/M)|^2, with
+    each grid point weighted by its own mask entry (the mask need not be
+    symmetric under k -> M - k)."""
+    f = parse_multfunc(spec)
+    x = 1501  # R(1/2) != 0, so the bin M/2 of an even M carries weight
+    nonzero = int(np.count_nonzero(eval_range(f, x, sieve)))
+    for M in (None, 2 * x + 1, 2 * x + 2, 4 * x + 3):  # default, odd and even
+        size = M if M is not None else int(next_fast_len(8 * (x + 1)))
+        mask = _mark_major(size, x, 0.1)
+        if asymmetric:
+            mask = mask ^ (np.random.default_rng(size).random(size) < 0.1)
+            monkeypatch.setattr(expsum, "_mark_major", lambda M_, x_, eps_: mask)
+        rep = minor_arc_energy(f, x, M, sieve=sieve)
+        assert rep.M == size
+        p2 = np.abs(exponential_sum_grid(f, x, size, sieve)) ** 2
+        want = (np.sum(p2) / size, np.sum(p2[mask]) / size, np.sum(p2[~mask]) / size)
+        got = (rep.total_energy, rep.major_energy, rep.minor_energy)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+        assert rep.coefficient_energy == nonzero
+
+
+@pytest.mark.parametrize("spec", ["randpm:5", "legendre:7", "minus-all"])
+def test_direct_sum_rational_exact_class_sums(sieve, spec):
+    """At beta = 0 the int8 path returns the correctly rounded value of the
+    exact class-sum combination (well inside q 2^-52 sum |c|)."""
+    f = parse_multfunc(spec)
+    x = 30011
+    vals = eval_range(f, x, sieve)
+    for a, q in ((0, 1), (1, 2), (2, 5), (3, 7), (5, 12), (6, 13), (17, 101)):
+        roots = np.exp(2j * np.pi * np.arange(q) / q)
+        cls = [int(np.sum(vals[r::q], dtype=np.int64)) for r in range(q)]
+        w = [roots[(r * a) % q] for r in range(q)]
+        re = sum(Fraction(c) * Fraction(float(z.real)) for c, z in zip(cls, w))
+        im = sum(Fraction(c) * Fraction(float(z.imag)) for c, z in zip(cls, w))
+        got = direct_sum_rational(f, a, q, 0.0, x, sieve)
+        tol = q * 2.0**-52 * sum(abs(c) for c in cls)
+        assert abs(got.real - float(re)) <= tol and abs(got.imag - float(im)) <= tol
+        assert got == complex(float(re), float(im))
+
+
+def test_exact_dot_large_counts():
+    """Each pair c w - 1 * fl(c w) leaves only the rounding error of the
+    product, which a sum of rounded products would lose."""
+    rng = np.random.default_rng(1)
+    for bits in (10, 30, 52):
+        c0 = rng.integers(2 ** (bits - 1), 2**bits, 32)
+        w0 = rng.standard_normal(32)
+        c = np.concatenate([c0, -np.ones(32, dtype=np.int64)])
+        w = np.concatenate([w0, c0 * w0])
+        want = sum(Fraction(int(a)) * Fraction(float(b)) for a, b in zip(c, w))
+        assert _exact_dot(c, w) == float(want)
 
 
 def test_energy_behavior(sieve):

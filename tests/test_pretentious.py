@@ -69,6 +69,14 @@ def test_select_t_basics(sieve):
     assert s_star >= dirichlet_modulus(f, 10**4, 0.0, sieve) - 1e-12
 
 
+def test_select_t_rejects_negative_range():
+    with pytest.raises(DomainError):
+        select_t(liouville(), 1000, -1.0)
+    with pytest.raises(DomainError):
+        select_t(liouville(), 1000, float("nan"))
+    assert select_t(liouville(), 1000, 0.0) == 0.0
+
+
 def test_select_t_argmax_dominates_grid(sieve):
     """Refinement never lands below any grid point."""
     x = 3000
