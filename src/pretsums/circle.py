@@ -33,7 +33,7 @@ from .multfunc import (
     twist,
 )
 from .pretentious import Frame, select_global_frame
-from .sieve import SieveTable, get_sieve
+from .sieve import SieveTable, ensure_sieve, get_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ def predict_triples(
     x = prob.scale
     if z is None:
         z = math.log(x)
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     count = triple_sum_fft(prob, sieve)
     density = count / (x * x / 2.0)
 
@@ -459,7 +459,7 @@ def predict_triples(
 
     if real_ok:
         mus = [complex(mu_mean(fn, x, sieve)).real for fn in (prob.f, prob.g, prob.h)]
-        primes = sieve.primes_upto(pmax) if sieve.limit >= pmax else get_sieve(pmax).primes
+        primes = ensure_sieve(sieve, pmax).primes_upto(pmax)
         fv = np.rint(np.asarray(prob.f.prime_values(primes), dtype=np.float64)).astype(np.int64)
         gv = np.rint(np.asarray(prob.g.prime_values(primes), dtype=np.float64)).astype(np.int64)
         hv = np.rint(np.asarray(prob.h.prime_values(primes), dtype=np.float64)).astype(np.int64)
@@ -591,7 +591,7 @@ def _onepattern_value(P: tuple[int, ...], t: float) -> float:
 
 def c2_product(pmax: int = 10**6, sieve: SieveTable | None = None) -> float:
     """prod over p <= pmax of |1 - 8 p^2 / ((p-1)^2 (p^2+1))| (ascending p)."""
-    sieve = sieve if sieve is not None and sieve.limit >= pmax else get_sieve(pmax)
+    sieve = ensure_sieve(sieve, pmax)
     p = sieve.primes_upto(pmax).astype(np.float64)
     terms = np.abs(1.0 - 8.0 * p * p / ((p - 1.0) ** 2 * (p * p + 1.0)))
     return float(np.exp(np.sum(np.log(terms))))
@@ -662,7 +662,7 @@ def signpattern_density(
     x = int(x)
     if z is None:
         z = math.log(x)
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
 
     def weights(fn: MultFunc, eps: int) -> np.ndarray:
         w = 1.0 + eps * eval_range(fn, x, sieve).astype(np.float64)
@@ -729,7 +729,7 @@ def fs_mean_over_sumset(
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     smax = int(A.max() + B.max())
-    sieve = sieve if sieve is not None and sieve.limit >= smax else get_sieve(max(smax, 2))
+    sieve = ensure_sieve(sieve, smax)
     ia = np.zeros(int(A.max()) + 1)
     ib = np.zeros(int(B.max()) + 1)
     ia[A] = 1.0
@@ -779,7 +779,7 @@ def residue_triple_gate(
     f-dagger(u) g-dagger(v) h-dagger(w), the dagger built per prime power of
     N with the frame's character riding along.  Vanishes exactly when the
     product of the frame characters is non-principal."""
-    sieve = sieve if sieve is not None and sieve.limit >= N else get_sieve(max(N, 2))
+    sieve = ensure_sieve(sieve, N)
 
     def dagger_table(fn: MultFunc, fr: Frame) -> np.ndarray:
         n = np.arange(N)

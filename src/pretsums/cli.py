@@ -3,7 +3,6 @@
 Subcommands take `key=value` tokens plus `--format json|csv`, `--out FILE`,
 `--seed N`.  Exit codes: 0 success, 1 domain error, 2 parse error.  Output is
 deterministic for fixed argv and seed; timings never reach the stream.
-PRETSUMS_THREADS caps the worker pool used by grid scans.
 
     pretsums constants
     pretsums oscint x=1000 beta=0.01 t=2.5
@@ -21,9 +20,7 @@ PRETSUMS_THREADS caps the worker pool used by grid scans.
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
@@ -39,14 +36,6 @@ SUBCOMMANDS = (
     "energy",
     "twisted",
 )
-
-
-def worker_count() -> int:
-    raw = os.environ.get("PRETSUMS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fmt(x: float) -> str:
@@ -195,47 +184,39 @@ def _cmd_expsum(kv, flags, action):
 
 
 def _cmd_scan(kv, flags, f, x):
-    from .expsum import classify_alpha, exponential_sum_grid
+    from .expsum import (
+        _mark_major,
+        classify_alpha,
+        exponential_sum_grid,
+        frame_term,
+        theorem1_coefficient,
+    )
     from .multfunc import KappaFunction, mean_value, twist
-    from .oscint import I_value
     from .pretentious import select_global_frame
-    from .sieve import euler_phi
+    from .sieve import ensure_sieve
 
     M = _int(kv, "grid")
     if M < 2:
         raise ParseError("grid= must be at least 2")
     eps = _float(kv, "eps", 0.1)
     frame = select_global_frame(f, x)
-    S = mean_value(twist(f, frame.psi, frame.t), x)
+    sieve = ensure_sieve(None, x)
+    S = mean_value(twist(f, frame.psi, frame.t), x, None, sieve)
     kappa = KappaFunction(f, frame.psi, frame.t)
-    from .sieve import get_sieve
-
-    sieve = get_sieve(max(x, 2))
     grid_R = exponential_sum_grid(f, x, M, sieve)
-
-    def row(k: int):
-        arc = classify_alpha(Fraction(k, M), x, eps)
+    marked = _mark_major(M, x, eps)  # every major row is marked; classify_alpha decides these
+    rows = []
+    for k in range(M):
         Rv = grid_R[k]
         Mv = 0.0 + 0.0j
-        if arc.regime == "major" and arc.q % frame.r == 0:
-            Mv = (
-                frame.psi.conjugate()(arc.a)
-                * frame.psi.gauss_sum()
-                * kappa.eval(arc.q // frame.r, sieve)
-                * I_value(x, arc.beta, frame.t)
-                * S
-                / euler_phi(arc.q)
-            )
-        return [
-            _fmt(k / M),
-            _fmt(abs(Rv)),
-            arc.regime,
-            _fmt(abs(Mv)),
-            _fmt(abs(Rv - Mv)),
-        ]
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rows = list(pool.map(row, range(M)))
+        regime = "minor"
+        if marked[k]:
+            arc = classify_alpha(Fraction(k, M), x, eps)
+            regime = arc.regime
+            if regime == "major" and arc.q % frame.r == 0:
+                coeff = theorem1_coefficient(kappa, arc.a, arc.q, sieve)
+                Mv = frame_term(1, frame, coeff, x, arc.beta, arc.q, S).value
+        rows.append([_fmt(k / M), _fmt(abs(Rv)), regime, _fmt(abs(Mv)), _fmt(abs(Rv - Mv))])
     header = ["alpha", "absR", "regime", "absM", "absE"]
     obj = {"x": x, "grid": M, "rows": [dict(zip(header, r)) for r in rows]}
     return obj, rows, header

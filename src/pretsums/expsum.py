@@ -9,7 +9,11 @@ the roots of unity.  The predictors assemble, per ranked frame
     conj(psi_j)(a) g(psi_j) kappa_j(q/r_j) I(x, beta, t_j) S_{f_j}(x) / phi(q)
 
 plus the literal error budget; they report the discrepancy against the
-oracle rather than asserting any unproved bound.  Arcs are classified by
+oracle rather than asserting any unproved bound.  Every main term, including
+the single-frame M_f of arc_decompose_Rf and the CLI scan, comes from one
+builder: frame_term multiplies a coefficient by I and S and divides by
+phi(q), and theorem1_coefficient supplies the coefficient shown above
+(predict_twisted and ap_sum pass their own).  Arcs are classified by
 continued-fraction convergents.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -36,7 +41,7 @@ from .multfunc import (
 )
 from .oscint import I_value
 from .pretentious import Frame, select_frames, select_global_frame
-from .sieve import SieveTable, divisors, euler_phi, get_sieve
+from .sieve import SieveTable, divisors, ensure_sieve, euler_phi
 
 TAU = (2.0 - math.sqrt(2.0)) / 3.0
 ETA = 1.0 - 2.0 / math.pi
@@ -100,7 +105,7 @@ def friable_sum(
     f: MultFunc, alpha: float, x: int, y: float, sieve: SieveTable | None = None
 ) -> complex:
     """R restricted to y-friable n (largest prime factor <= y; n = 1 counts)."""
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     vals = eval_range(f, x, sieve).astype(np.complex128)
     n = np.arange(x + 1)
     mask = sieve.lpf[: x + 1] <= y
@@ -308,6 +313,43 @@ def err_budget(x: int, q: int, J: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the frame main-term builder
+# ---------------------------------------------------------------------------
+
+
+def theorem1_coefficient(kappa: KappaFunction, a: int, q: int, sieve: SieveTable) -> complex:
+    """conj(psi)(a) g(psi) kappa(q/r) at a/q for the frame (psi mod r, t) of kappa."""
+    psi = kappa.psi
+    return psi.conjugate()(a) * psi.gauss_sum() * kappa.eval(q // psi.q, sieve)
+
+
+def frame_term(
+    j: int, fr: Frame, coeff: complex, x: int, beta: float, q: int, S: complex
+) -> FrameTerm:
+    """The main term coeff I(x, beta, t) S_{f_j}(x) / phi(q) of frame fr."""
+    Ival = I_value(x, beta, fr.t)
+    value = coeff * Ival * S / euler_phi(q)
+    return FrameTerm(j, fr.chi.exponents, fr.r, fr.t, complex(coeff), Ival, complex(S), value)
+
+
+def _frame_terms(
+    f: MultFunc,
+    frames: list[Frame],
+    x: int,
+    beta: float,
+    q: int,
+    sieve: SieveTable,
+    coefficient: Callable[[Frame], complex],
+) -> tuple[list[FrameTerm], complex]:
+    """frame_term for each frame with coefficient(frame), and their sum in frame order."""
+    terms = []
+    for j, fr in enumerate(frames, start=1):
+        S = mean_value(twist(f, fr.psi, fr.t), x, None, sieve)
+        terms.append(frame_term(j, fr, coefficient(fr), x, beta, q, S))
+    return terms, sum((t.value for t in terms), 0.0 + 0.0j)
+
+
+# ---------------------------------------------------------------------------
 # Theorem-style predictors
 # ---------------------------------------------------------------------------
 
@@ -333,24 +375,15 @@ def predict_theorem1(
 
         warnings.warn(f"q={q} is outside the supported range q <= Q1 = {Q1:.1f}; computing anyway")
     t0 = time.time()
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     if frames is None:
         frames = select_frames(f, x, q, J, sieve)
     t_frames = time.time() - t0
 
-    phi_q = euler_phi(q)
-    terms = []
-    total = 0.0 + 0.0j
-    for j, fr in enumerate(frames, start=1):
-        kappa = KappaFunction(f, fr.psi, fr.t)
-        coeff = fr.psi.conjugate()(a) * fr.psi.gauss_sum() * kappa.eval(q // fr.r, sieve)
-        Ival = I_value(x, beta, fr.t)
-        S = mean_value(twist(f, fr.psi, fr.t), x, None, sieve)
-        val = coeff * Ival * S / phi_q
-        terms.append(
-            FrameTerm(j, fr.chi.exponents, fr.r, fr.t, complex(coeff), Ival, complex(S), val)
-        )
-        total += val
+    terms, total = _frame_terms(
+        f, frames, x, beta, q, sieve,
+        lambda fr: theorem1_coefficient(KappaFunction(f, fr.psi, fr.t), a, q, sieve),
+    )
     t_terms = time.time() - t0 - t_frames
 
     oracle = direct_sum_rational(f, a, q, beta, x, sieve) if with_oracle else complex("nan")
@@ -395,20 +428,11 @@ def predict_twisted(
 ) -> PredictionReport:
     """Prediction for sum_{n <= x} f(n) h(n), h of period q, via pseudo-Gauss sums."""
     q = h.period
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
-    frames = select_frames(f, x, q, J, sieve) if q > 1 else select_frames(f, x, 1, J, sieve)
-    phi_q = euler_phi(q)
-    terms = []
-    total = 0.0 + 0.0j
-    for j, fr in enumerate(frames, start=1):
-        coeff = twisted_coefficient(f, h, fr, sieve)
-        Ival = I_value(x, 0.0, fr.t)
-        S = mean_value(twist(f, fr.psi, fr.t), x, None, sieve)
-        val = coeff * Ival * S / phi_q
-        terms.append(
-            FrameTerm(j, fr.chi.exponents, fr.r, fr.t, complex(coeff), Ival, complex(S), val)
-        )
-        total += val
+    sieve = ensure_sieve(sieve, x)
+    frames = select_frames(f, x, q, J, sieve)
+    terms, total = _frame_terms(
+        f, frames, x, 0.0, q, sieve, lambda fr: twisted_coefficient(f, h, fr, sieve)
+    )
     vals = eval_range(f, x, sieve).astype(np.complex128)
     n = np.arange(x + 1)
     z = vals * h.values_on(n)
@@ -426,7 +450,7 @@ def ap_sum(
     sieve: SieveTable | None = None,
 ):
     """Sum of f over n <= x, n = a mod q: exact count or frame prediction."""
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     if mode == "direct":
         vals = eval_range(f, x, sieve)
         n = np.arange(x + 1)
@@ -439,19 +463,10 @@ def ap_sum(
     if gcd(a, q) != 1:
         raise DomainError("predicted ap_sum needs gcd(a, q) = 1")
     frames = select_frames(f, x, q, J, sieve)
-    phi_q = euler_phi(q)
-    terms = []
-    total = 0.0 + 0.0j
-    for j, fr in enumerate(frames, start=1):
-        f_j = twist(f, fr.psi, fr.t)
-        coeff = fr.psi(a) * k_factor(f_j, q, sieve)
-        Ival = I_value(x, 0.0, fr.t)
-        S = mean_value(f_j, x, None, sieve)
-        val = coeff * Ival * S / phi_q
-        terms.append(
-            FrameTerm(j, fr.chi.exponents, fr.r, fr.t, complex(coeff), Ival, complex(S), val)
-        )
-        total += val
+    terms, total = _frame_terms(
+        f, frames, x, 0.0, q, sieve,
+        lambda fr: fr.psi(a) * k_factor(twist(f, fr.psi, fr.t), q, sieve),
+    )
     oracle = ap_sum(f, a, q, x, "direct", J, sieve)
     lx = math.log(x)
     budget = x / euler_phi(q) * math.log(lx) ** 2 * lx**-ETA
@@ -466,7 +481,7 @@ def s_f_chi_predict(
     sieve: SieveTable | None = None,
 ) -> PredictionReport:
     """S_f(x/ell, chi) against I(x,0,t)/ell^{1+it} prod_{p|q}(1 - f(p)conj(psi)(p)/p^{1+it}) S_{f_j}(x)."""
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     from .pretentious import select_t
 
     psi, r = chi.primitive()
@@ -522,7 +537,7 @@ def arc_decompose_Rf(
 ) -> ArcSplit:
     """R_f = M_f + E_f with the single global frame; M_f = 0 on minor arcs
     and carries the r | q indicator on major ones."""
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     arc = classify_alpha(alpha, x, eps)
     if frame is None:
         frame = select_global_frame(f, x, r_max)
@@ -530,16 +545,9 @@ def arc_decompose_Rf(
     r_div = arc.q % frame.r == 0
     M = 0.0 + 0.0j
     if arc.regime == "major" and r_div:
-        kappa = KappaFunction(f, frame.psi, frame.t)
+        coeff = theorem1_coefficient(KappaFunction(f, frame.psi, frame.t), arc.a, arc.q, sieve)
         S = mean_value(twist(f, frame.psi, frame.t), x, None, sieve)
-        M = (
-            frame.psi.conjugate()(arc.a)
-            * frame.psi.gauss_sum()
-            * kappa.eval(arc.q // frame.r, sieve)
-            * I_value(x, arc.beta, frame.t)
-            * S
-            / euler_phi(arc.q)
-        )
+        M = frame_term(1, frame, coeff, x, arc.beta, arc.q, S).value
     return ArcSplit(arc=arc, R=R, M=complex(M), E=complex(R - M), frame_r=frame.r, r_divides_q=r_div)
 
 
@@ -634,6 +642,8 @@ def minor_arc_energy(
     grid points k and M - k, each weighted by its own arc mask, with bins 0
     and M/2 (M even) counted once.  Complex f takes the full grid.
     """
+    if x < 3:
+        raise DomainError(f"minor_arc_energy needs x >= 3, got {x}")
     if M is None:
         # 4x beyond the exactness bound: spacing ~ x/M in the scaled frequency
         # must resolve the arc windows, not just make Parseval exact
@@ -642,7 +652,7 @@ def minor_arc_energy(
         M = int(next_fast_len(8 * (x + 1)))
     if M < 2 * x + 1:
         raise DomainError(f"grid size {M} below the exactness bound 2x+1 = {2 * x + 1}")
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     vals = eval_range(f, x, sieve)
     mask = _mark_major(M, x, eps)
     if vals.dtype == np.int8:
@@ -728,7 +738,7 @@ def identity_41_residual(
     """Relative residual of the exact Abel-summation identity
     R_f(x, a/q + beta) = e(beta x) R_f(x, a/q) - 2 pi i beta
     int_1^x e(beta v) R_f(v, a/q) dv."""
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     vals = eval_range(f, x, sieve).astype(np.complex128)
     n = np.arange(x + 1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import DomainError
-from .sieve import SieveTable, get_sieve
+from .sieve import SieveTable, ensure_sieve, get_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +350,7 @@ def eval_at(f: MultFunc, n: int, sieve: SieveTable) -> complex:
 
 
 _RANGE_CACHE: dict[tuple, np.ndarray] = {}
-_PREFIX_CACHE: dict[tuple, np.ndarray] = {}
 _CACHE_LIMIT = 24
-
-
-def _cache_put(cache: dict, key, arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    if len(cache) >= _CACHE_LIMIT:
-        cache.pop(next(iter(cache)))
-    cache[key] = arr
-    return arr
 
 
 def eval_range(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarray:
@@ -374,7 +365,7 @@ def eval_range(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarr
     key = (f, x)
     if key in _RANGE_CACHE:
         return _RANGE_CACHE[key]
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     primes = sieve.primes_upto(x)
     pv = f.prime_values(primes)
     exact = f.exact_int and pv.dtype == np.int8
@@ -385,20 +376,11 @@ def eval_range(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarr
         while q <= x:
             vals[q::q] *= fp
             q *= p
-    return _cache_put(_RANGE_CACHE, key, vals)
-
-
-def prefix_sums(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarray:
-    """S[v] = sum of f(n) for n <= v, v = 0..x (int64 when exact)."""
-    key = (f, x)
-    if key in _PREFIX_CACHE:
-        return _PREFIX_CACHE[key]
-    vals = eval_range(f, x, sieve)
-    if vals.dtype == np.int8:
-        out = np.cumsum(vals, dtype=np.int64)
-    else:
-        out = np.cumsum(vals)
-    return _cache_put(_PREFIX_CACHE, key, out)
+    vals.flags.writeable = False
+    if len(_RANGE_CACHE) >= _CACHE_LIMIT:
+        _RANGE_CACHE.pop(next(iter(_RANGE_CACHE)))
+    _RANGE_CACHE[key] = vals
+    return vals
 
 
 def fsum_complex(arr: np.ndarray) -> complex:
@@ -545,7 +527,7 @@ def build_adaptive_extremal(
     points along the sum of f(n) e(n alpha) over n <= x with no prime factor
     above x/2.  Tie-break: theta = 0 when that sum vanishes.
     """
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(x, 2))
+    sieve = ensure_sieve(sieve, x)
     vals = eval_range(base, x, sieve).astype(np.complex128)
     n = np.arange(x + 1)
     smooth = sieve.lpf[: x + 1] <= x / 2

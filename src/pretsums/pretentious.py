@@ -19,13 +19,13 @@ import numpy as np
 from .characters import DirichletCharacter, enumerate_characters
 from .errors import DomainError
 from .multfunc import MultFunc, eval_range, twist
-from .sieve import SieveTable, get_sieve
+from .sieve import SieveTable, ensure_sieve
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _prime_data(f: MultFunc, x: int, sigma: float):
-    sieve = get_sieve(max(int(x), 2))
+    sieve = ensure_sieve(None, x)
     primes = sieve.primes_upto(x)
     fp = np.asarray(f.prime_values(primes), dtype=np.complex128)
     keep = np.abs(fp) > 1e-15
@@ -169,7 +169,7 @@ def rank_characters(
     """Order characters mod q by s_f(X, chi) = max |S_f(v, chi)|/v over a
     geometric grid of at least n_points points in [sqrt(X), X^2]."""
     hi = int(math.ceil(X * X))
-    sieve = sieve if sieve is not None and sieve.limit >= hi else get_sieve(max(hi, 2))
+    sieve = ensure_sieve(sieve, hi)
     if q > sieve.limit:
         raise DomainError(f"modulus {q} exceeds sieve limit {sieve.limit}")
     pts = np.unique(
@@ -193,6 +193,20 @@ def rank_characters(
     return CharacterRanking(q, X, [(chi, s) for _, chi, s in entries])
 
 
+def _frame(
+    f: MultFunc,
+    x: int,
+    chi: DirichletCharacter,
+    psi: DirichletCharacter,
+    s_value: float = float("nan"),
+) -> Frame:
+    """The frame of chi (induced by the primitive psi): t maximizes the
+    Euler-product modulus of f twisted by psi at scale x."""
+    g = twist(f, psi, 0.0)
+    t = select_t(g, x, math.log(x))
+    return Frame(chi=chi, psi=psi, r=psi.q, t=t, score=dirichlet_modulus(g, x, t), s_value=s_value)
+
+
 def select_frames(
     f: MultFunc,
     x: int,
@@ -203,14 +217,7 @@ def select_frames(
     """Top J-1 frames for f mod q: rank by s_f(sqrt(x), .), then pick each
     frame's t as the maximizer for the psi-twisted function at scale x."""
     ranking = rank_characters(f, math.sqrt(x), q, J, sieve)
-    frames = []
-    for chi, s in ranking.top(J):
-        psi, r = chi.primitive()
-        g = twist(f, psi, 0.0)
-        t = select_t(g, x, math.log(x))
-        score = dirichlet_modulus(g, x, t)
-        frames.append(Frame(chi=chi, psi=psi, r=r, t=t, score=score, s_value=s))
-    return frames
+    return [_frame(f, x, chi, chi.primitive()[0], s) for chi, s in ranking.top(J)]
 
 
 def primitive_candidates(r_max: int) -> list[DirichletCharacter]:
@@ -230,11 +237,9 @@ def select_global_frame(f: MultFunc, x: int, r_max: int = 12) -> Frame:
     scored by the twisted Euler-product modulus at scale x."""
     best: Frame | None = None
     for psi in primitive_candidates(r_max):
-        g = twist(f, psi, 0.0)
-        t = select_t(g, x, math.log(x))
-        score = dirichlet_modulus(g, x, t)
-        if best is None or score > best.score * (1 + 1e-12):
-            best = Frame(chi=psi, psi=psi, r=psi.q, t=t, score=score)
+        fr = _frame(f, x, psi, psi)
+        if best is None or fr.score > best.score * (1 + 1e-12):
+            best = fr
     assert best is not None
     return best
 
@@ -253,7 +258,7 @@ def pretentious_distance(
     sieve: SieveTable | None = None,
 ) -> float:
     """sum over y < p <= x of (1 - Re f(p) conj(psi)(p) p^{-it}) / p."""
-    sieve = sieve if sieve is not None and sieve.limit >= x else get_sieve(max(int(x), 2))
+    sieve = ensure_sieve(sieve, x)
     primes = sieve.primes_upto(x)
     primes = primes[primes > y]
     if len(primes) == 0:
@@ -292,7 +297,7 @@ def brudern_check(
     (minor arcs then carry a positive share of the energy, and conversely).
     """
     x2 = x * x
-    sieve = sieve if sieve is not None and sieve.limit >= x2 else get_sieve(max(x2, 2))
+    sieve = ensure_sieve(sieve, x2)
     # frame selected at the base scale; the growth test then probes [x, x^2]
     frame = select_global_frame(f, x, r_max)
     d1 = pretentious_distance(f, frame.psi, frame.t, 1.5, x, sieve)

@@ -3,7 +3,8 @@
 Everything downstream evaluates completely multiplicative functions through
 one shared SieveTable, so this module is the only place that touches raw
 prime generation.  Tables are cached per limit; ask for the size you need
-via get_sieve() and reuse the result.
+via get_sieve(), or pass an optional table through ensure_sieve(), which
+keeps it when it is large enough.
 """
 
 from __future__ import annotations
@@ -101,10 +102,17 @@ def get_sieve(limit: int) -> SieveTable:
     return table
 
 
+def ensure_sieve(sieve: SieveTable | None, x: float) -> SieveTable:
+    """`sieve` when it reaches x, else the shared table from get_sieve."""
+    if sieve is not None and sieve.limit >= x:
+        return sieve
+    return get_sieve(max(int(x), 2))
+
+
 def euler_phi(n: int, sieve: SieveTable | None = None) -> int:
     if n < 1:
         raise DomainError(f"euler_phi: n={n} < 1")
-    s = sieve if sieve is not None and sieve.limit >= n else get_sieve(n)
+    s = ensure_sieve(sieve, n)
     out = 1
     for p, e in s.factor(n):
         out *= (p - 1) * p ** (e - 1)
@@ -112,7 +120,7 @@ def euler_phi(n: int, sieve: SieveTable | None = None) -> int:
 
 
 def divisors(n: int, sieve: SieveTable | None = None) -> list[int]:
-    s = sieve if sieve is not None and sieve.limit >= n else get_sieve(n)
+    s = ensure_sieve(sieve, n)
     ds = [1]
     for p, e in s.factor(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
@@ -120,7 +128,7 @@ def divisors(n: int, sieve: SieveTable | None = None) -> list[int]:
 
 
 def mobius(n: int, sieve: SieveTable | None = None) -> int:
-    s = sieve if sieve is not None and sieve.limit >= n else get_sieve(n)
+    s = ensure_sieve(sieve, n)
     mu = 1
     for _, e in s.factor(n):
         if e > 1:

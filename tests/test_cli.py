@@ -3,10 +3,14 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import jsonschema
 
-from pretsums.cli import main
+from pretsums.cli import _fmt, main
+from pretsums.expsum import arc_decompose_Rf, classify_alpha
+from pretsums.funcspec import parse_multfunc
+from pretsums.pretentious import select_global_frame
 
 PREDICTION_SCHEMA = {
     "type": "object",
@@ -137,6 +141,24 @@ def test_scan_csv():
         assert len(cols) == 5 and cols[2] in ("major", "minor")
 
 
+def test_scan_rows_match_classifier_and_arc_split():
+    x, M = 4096, 4097
+    rc, out = run(["expsum", "scan", "f=legendre:5", f"x={x}", f"grid={M}", "--format", "csv"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == M
+    f = parse_multfunc("legendre:5")
+    frame = select_global_frame(f, x)
+    major = 0
+    for k, (_, _, regime, absM, _) in enumerate(rows):
+        assert regime == classify_alpha(Fraction(k, M), x).regime, k
+        if regime == "major":
+            major += 1
+            split = arc_decompose_Rf(f, Fraction(k, M), x, frame=frame)
+            assert absM == _fmt(abs(split.M)), k
+    assert major == 1545
+
+
 def test_determinism():
     args = ["expsum", "predict", "f=randpm:7", "alpha=1/4", "x=10000"]
     outs = {run(args)[1] for _ in range(2)}
@@ -160,12 +182,15 @@ def test_exit_codes():
         (["expsum", "predict", "f=one", "alpha=2/4x", "x=10"], 2),
         (["oscint", "x=-1", "beta=0", "t=0"], 1),
         (["expsum", "predict", "f=one", "x=100"], 2),  # missing alpha
+        (["energy", "f=one", "x=1"], 1),
+        (["energy", "f=one", "x=2"], 1),
     ]
     for args, code in env_runs:
         r = subprocess.run(
             [sys.executable, "-m", "pretsums.cli", *args], capture_output=True, text=True
         )
         assert r.returncode == code, (args, r.returncode, r.stderr)
+        assert "Traceback" not in r.stderr, (args, r.stderr)
 
 
 def test_parse_error_echoes_token():

@@ -241,14 +241,22 @@ def test_grid_folding(sieve):
         assert abs(grid[k] - direct_sum(f, k / M, x, sieve)) < 1e-8
 
 
-def test_mask_matches_classifier(sieve):
-    x = 2**12
-    M = 5 * 2**11
-    mask = _mark_major(M, x, 0.1)
-    rng = np.random.default_rng(0)
-    for k in rng.integers(0, M, 200):
-        arc = classify_alpha(Fraction(int(k), M), x)
-        assert (arc.regime == "major") == bool(mask[int(k)])
+def test_theorem1_complex_frame_every_numerator():
+    # the coefficient carries conj(psi)(a): for a non-real frame character
+    # mod 5, psi(a) in its place would rotate the prediction at a = 2, 3
+    f = parse_multfunc("char:5:1")
+    for a in (1, 2, 3, 4):
+        rep = predict_theorem1(f, a, 5, 0.0, 20000)
+        assert rep.terms[0].chi_exponents == (1,)
+        assert rep.rel_discrepancy < 1e-3, a
+
+
+def test_mask_matches_classifier():
+    for x, M in [(4096, 5 * 2**11), (4096, 257), (4096, 4097), (2048, 64), (512, 16)]:
+        mask = _mark_major(M, x, 0.1)
+        for k in range(M):
+            arc = classify_alpha(Fraction(k, M), x)
+            assert (arc.regime == "major") == bool(mask[k]), (x, M, k)
 
 
 def _loop_mark_major(M: int, x: int, eps: float) -> np.ndarray:

@@ -29,7 +29,8 @@ from pretsums.multfunc import (
     structure_split,
     twist,
 )
-from pretsums.sieve import divisors
+from pretsums import sieve as sieve_module
+from pretsums.sieve import SieveTable, divisors, ensure_sieve
 
 
 def test_eval_basic(sieve):
@@ -245,3 +246,16 @@ def test_adaptive_extremal_builder(sieve):
     R = np.sum(vals * np.exp(2j * np.pi * alpha * n))
     assert abs(R) > 0.3 * x / math.log(x)
     assert float(np.max(np.abs(vals))) <= 1 + 1e-9
+
+
+def test_ensure_sieve(sieve_small, monkeypatch):
+    small = SieveTable(100, sieve_small.spf[:101])
+    assert ensure_sieve(small, 100) is small
+    assert ensure_sieve(small, 50.5) is small
+    assert ensure_sieve(small, 5000).limit >= 5000
+    asked = []
+    monkeypatch.setattr(sieve_module, "get_sieve", lambda n: asked.append(n) or sieve_small)
+    for x in (100.5, 101, 5000):
+        assert ensure_sieve(small, x) is sieve_small
+    assert ensure_sieve(None, 0) is sieve_small
+    assert asked == [100, 101, 5000, 2]
