@@ -324,11 +324,6 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(q, exps) for exps in itertools.product(*ranges)]
 
 
-def conductor(chi: DirichletCharacter) -> tuple[DirichletCharacter, int]:
-    """(inducing primitive character psi, its modulus r)."""
-    return chi.primitive()
-
-
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """g(chi) = sum over a mod q of chi(a) e(a/q); equals 1 at q = 1."""
     q = chi.q

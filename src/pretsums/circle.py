@@ -6,9 +6,13 @@ raw double loops.  Integer coefficient arrays are convolved by real FFTs
 (rfft/irfft) and rounded back to integers, with the rounding residual checked;
 an array convolved with itself is transformed once.  Complex arrays use the
 full complex FFT.  Predictions assemble an archimedean factor, a
-principality gate, and per-prime local factors evaluated as exact finite
-residue sums mod p^e.  Local sums are computed by pushing gcd-stratified
-weights onto residues and convolving, never by raw triple loops.
+principality gate, and per-prime local factors.  Every local factor and the
+gate are finite residue sums, computed by one kernel, `residue_triple_sum`:
+three residue tables pushed forward along their multipliers, two of them
+convolved cyclically, never raw triple loops.  The tables come from one
+weight builder, `_power_weights` (base^k, read by capped p-adic valuation).
+The E*/E*_N closed forms for {-1,0,1} weights live in one vectorised table,
+`estar_table`, and the C2 factor in `_c2_factor`.
 """
 
 from __future__ import annotations
@@ -183,15 +187,27 @@ def _capped_valuations(p: int, e: int) -> np.ndarray:
     return v
 
 
-def _pushforward(p: int, e: int, weights_by_val: np.ndarray, mult: int) -> np.ndarray:
-    """Array W with W[(mult*u) mod p^e] accumulating weights_by_val[v_p(u)]."""
-    pe = p**e
-    u = np.arange(pe)
-    w = weights_by_val[_capped_valuations(p, e)]
-    idx = (mult % pe) * u % pe
-    out = np.bincount(idx, weights=w.real, minlength=pe).astype(np.complex128)
-    out += 1j * np.bincount(idx, weights=w.imag, minlength=pe)
-    return out
+def residue_triple_sum(
+    n: int,
+    tables: list[np.ndarray],
+    mults: list[int],
+    target: int = 0,
+) -> complex:
+    """(1/n^2) sum over u, v, w mod n with m1 u + m2 v + m3 w = target of
+    T1(u) T2(v) T3(w) for residue tables of length n: each table is pushed
+    forward along u -> m u mod n (m need not be a unit), and the first two
+    are convolved cyclically by FFT."""
+    u = np.arange(n)
+
+    def push(tab: np.ndarray, m: int) -> np.ndarray:
+        idx = (m % n) * u % n
+        out = np.bincount(idx, weights=tab.real, minlength=n).astype(np.complex128)
+        out += 1j * np.bincount(idx, weights=tab.imag, minlength=n)
+        return out
+
+    A, B, C = (push(np.asarray(t, dtype=np.complex128), m) for t, m in zip(tables, mults))
+    conv = np.fft.ifft(np.fft.fft(A) * np.fft.fft(B))
+    return complex(np.sum(C * conv[(target - u) % n]) / n**2)
 
 
 def local_triple_sum(
@@ -202,38 +218,27 @@ def local_triple_sum(
     target: int = 0,
 ) -> complex:
     """(1/p^{2e}) sum over u, v, w mod p^e with m1 u + m2 v + m3 w = target
-    of w1[v(u)] w2[v(v)] w3[v(w)], via cyclic convolution."""
-    pe = p**e
-    A = _pushforward(p, e, np.asarray(weights[0], dtype=np.complex128), mults[0])
-    B = _pushforward(p, e, np.asarray(weights[1], dtype=np.complex128), mults[1])
-    C = _pushforward(p, e, np.asarray(weights[2], dtype=np.complex128), mults[2])
-    conv = np.fft.ifft(np.fft.fft(A) * np.fft.fft(B))
-    idx = (target - np.arange(pe)) % pe
-    total = np.sum(C * conv[idx])
-    return complex(total / pe**2)
+    of w1[v(u)] w2[v(v)] w3[v(w)]: the valuation weights, indexed by the
+    capped valuation of each residue, summed by `residue_triple_sum`."""
+    v = _capped_valuations(p, e)
+    tables = [np.asarray(w, dtype=np.complex128)[v] for w in weights]
+    return residue_triple_sum(p**e, tables, mults, target)
+
+
+def _power_weights(base: complex, e: int) -> np.ndarray:
+    """base^k for k = 0..e, by repeated multiplication."""
+    out = np.ones(e + 1, dtype=np.complex128)
+    for k in range(1, e + 1):
+        out[k] = out[k - 1] * base
+    return out
 
 
 def _dagger_weights(f: MultFunc, frame: Frame, p: int, e: int) -> np.ndarray:
-    """f-dagger values at p^k, k = 0..e: (f(p) p^{-it})^k off the conductor,
-    the k = 0 spike on it."""
-    out = np.zeros(e + 1, dtype=np.complex128)
-    out[0] = 1.0
+    """f-dagger values at p^k, k = 0..e: the powers of f(p) p^{-it} off the
+    conductor, the powers of 0 (the k = 0 spike) on it."""
     if frame.r % p == 0:
-        return out
-    base = f.prime_value(p) * np.exp(-1j * frame.t * math.log(p))
-    for k in range(1, e + 1):
-        out[k] = out[k - 1] * base
-    return out
-
-
-def _plain_weights(f: MultFunc, p: int, e: int) -> np.ndarray:
-    """f(p^k) for k = 0..e."""
-    out = np.zeros(e + 1, dtype=np.complex128)
-    out[0] = 1.0
-    base = f.prime_value(p)
-    for k in range(1, e + 1):
-        out[k] = out[k - 1] * base
-    return out
+        return _power_weights(0, e)
+    return _power_weights(f.prime_value(p) * np.exp(-1j * frame.t * math.log(p)), e)
 
 
 def euler_factor_E(
@@ -245,12 +250,10 @@ def euler_factor_E(
     """The finite-modulus local factor at p: the exact residue sum mod p^e,
     e the smallest exponent with p^e > z^2."""
     e = smallest_cap_exponent(p, z)
-    wf = _dagger_weights(prob.f, frames[0], p, e)
-    wg = _dagger_weights(prob.g, frames[1], p, e)
-    wh = _dagger_weights(prob.h, frames[2], p, e)
+    weights = [_dagger_weights(fn, fr, p, e) for fn, fr in zip((prob.f, prob.g, prob.h), frames)]
     if prob.mode == "linear":
-        return local_triple_sum(p, e, [wf, wg, wh], [prob.a, prob.b, -prob.c], 0)
-    return local_triple_sum(p, e, [wf, wg, wh], [1, 1, 1], prob.N % p**e)
+        return local_triple_sum(p, e, weights, [prob.a, prob.b, -prob.c], 0)
+    return local_triple_sum(p, e, weights, [1, 1, 1], prob.N % p**e)
 
 
 def estar_exact(
@@ -267,47 +270,78 @@ def estar_exact(
     e = 1
     while p**e < cap:
         e += 1
-    wf, wg, wh = (_plain_weights(fn, p, e) for fn in (f, g, h))
+    weights = [_power_weights(fn.prime_value(p), e) for fn in (f, g, h)]
     if mode == "linear":
-        val = local_triple_sum(p, e, [wf, wg, wh], [1, 1, -1], 0)
+        val = local_triple_sum(p, e, weights, [1, 1, -1], 0)
     else:
         if N is None:
             raise DomainError("partition-mode E* needs N")
-        val = local_triple_sum(p, e, [wf, wg, wh], [1, 1, 1], N % p**e)
+        val = local_triple_sum(p, e, weights, [1, 1, 1], N % p**e)
     norm = (1.0 - 1.0 / p) ** -3
     for fn in (f, g, h):
         norm *= 1.0 - complex(fn.prime_value(p)).real / p
     return float((val * norm).real)
 
 
-def estar(p: int, f: MultFunc, g: MultFunc, h: MultFunc) -> float:
-    """E*(p) for the equation l + m = n and real-valued weights.
+def _c2_factor(p):
+    """1 - 8 p^2 / ((p-1)^2 (p^2+1)): the all-(-1) E*(p) and the C2 factor."""
+    return 1.0 - 8.0 * p * p / ((p - 1.0) ** 2 * (p * p + 1.0))
 
-    Closed forms: 1 when any of f(p), g(p), h(p) equals 1; the quadratic
-    expression when all equal -1; 1 - 1/(p-1)^2 when all equal 0.  Other
-    sign patterns fall back to the exact residue sum.
+
+def estar_table(
+    primes: np.ndarray, values: list, N: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms of E*(p) (N None: l + m = n) or E*_N(p) (l + m + n = N)
+    for an array of primes, from the three arrays of values f(p), g(p), h(p);
+    a value within 1e-12 of -1, 0 or 1 counts as that value.
+
+    E = 1 when any value is 1.  When all are 0: 1 - 1/(p-1)^2, except
+    1 + 1/(p-1)^3 for E*_N at p not dividing N.  When all are -1: the C2
+    factor for E*; E*_N has none there.  Returns (values, form): NaN where no
+    closed form applies (`estar_exact` gives E there), and the number of the
+    closed form used at each prime, from 1, with 0 for none.
     """
-    vals = [complex(fn.prime_value(p)) for fn in (f, g, h)]
-    if any(abs(v - 1) < 1e-12 for v in vals):
-        return 1.0
-    if all(abs(v + 1) < 1e-12 for v in vals):
-        return 1.0 - 8.0 * p * p / ((p - 1.0) ** 2 * (p * p + 1.0))
-    if all(abs(v) < 1e-12 for v in vals):
+    primes = np.asarray(primes)
+    v = np.asarray(values, dtype=np.complex128)
+    r = np.rint(v.real)
+    v = np.where((np.abs(v - r) < 1e-12) & (np.abs(r) <= 1), r, np.nan)
+    zero = np.all(v == 0, axis=0)
+
+    def square_form(p):
         return 1.0 - 1.0 / (p - 1.0) ** 2
-    return estar_exact(p, f, g, h, "linear")
+
+    if N is None:
+        rules = [(zero, square_form), (np.all(v == -1, axis=0), _c2_factor)]
+    else:
+        div = N % primes == 0
+        rules = [(zero & ~div, lambda p: 1.0 + 1.0 / (p - 1.0) ** 3), (zero & div, square_form)]
+    rules.append((np.any(v == 1, axis=0), np.ones_like))
+    out = np.full(len(primes), np.nan)
+    form = np.zeros(len(primes), dtype=np.int64)
+    for k, (mask, closed) in enumerate(rules, start=1):
+        out[mask] = closed(primes[mask].astype(np.float64))
+        form[mask] = k
+    return out, form
+
+
+def _estar_at(p: int, fns: tuple[MultFunc, MultFunc, MultFunc], N: int | None) -> float:
+    """E*(p) or E*_N(p) at one prime: the closed form, else the exact sum."""
+    val = estar_table([p], [[fn.prime_value(p)] for fn in fns], N)[0][0]
+    if np.isnan(val):
+        return estar_exact(p, *fns, "linear" if N is None else "partition", N)
+    return float(val)
+
+
+def estar(p: int, f: MultFunc, g: MultFunc, h: MultFunc) -> float:
+    """E*(p) for the equation l + m = n and real-valued weights: the closed
+    form of `estar_table` where one applies, the exact residue sum otherwise."""
+    return _estar_at(p, (f, g, h), None)
 
 
 def estar_N(p: int, f: MultFunc, g: MultFunc, h: MultFunc, N: int) -> float:
-    """E*_N(p) for l + m + n = N; closed in the 1- and 0-value cases, exact
-    residue sum otherwise (the all-(-1) case has no simple closed form)."""
-    vals = [complex(fn.prime_value(p)) for fn in (f, g, h)]
-    if any(abs(v - 1) < 1e-12 for v in vals):
-        return 1.0
-    if all(abs(v) < 1e-12 for v in vals):
-        if N % p == 0:
-            return 1.0 - 1.0 / (p - 1.0) ** 2
-        return 1.0 + 1.0 / (p - 1.0) ** 3
-    return estar_exact(p, f, g, h, "partition", N)
+    """E*_N(p) for l + m + n = N: the closed form of `estar_table` where one
+    applies, the exact residue sum otherwise (always so when all are -1)."""
+    return _estar_at(p, (f, g, h), N)
 
 
 # ---------------------------------------------------------------------------
@@ -460,38 +494,17 @@ def predict_triples(
     if real_ok:
         mus = [complex(mu_mean(fn, x, sieve)).real for fn in (prob.f, prob.g, prob.h)]
         primes = ensure_sieve(sieve, pmax).primes_upto(pmax)
-        fv = np.rint(np.asarray(prob.f.prime_values(primes), dtype=np.float64)).astype(np.int64)
-        gv = np.rint(np.asarray(prob.g.prime_values(primes), dtype=np.float64)).astype(np.int64)
-        hv = np.rint(np.asarray(prob.h.prime_values(primes), dtype=np.float64)).astype(np.int64)
+        N = prob.N if prob.mode == "partition" else None
+        values = [fn.prime_values(primes) for fn in (prob.f, prob.g, prob.h)]
+        closed, form = estar_table(primes, values, N)
         local = 1.0
+        for k in np.unique(form[form > 0]):
+            local *= float(np.prod(closed[form == k]))
         ep_list = []
-        if prob.mode == "linear":
-            all_zero = (fv == 0) & (gv == 0) & (hv == 0)
-            zero_ps = primes[all_zero].astype(np.float64)
-            local *= float(np.prod(1.0 - 1.0 / (zero_ps - 1.0) ** 2))
-            all_neg = (fv == -1) & (gv == -1) & (hv == -1)
-            neg_ps = primes[all_neg].astype(np.float64)
-            local *= float(
-                np.prod(1.0 - 8.0 * neg_ps**2 / ((neg_ps - 1.0) ** 2 * (neg_ps**2 + 1.0)))
-            )
-            mixed = ~all_zero & ~all_neg & (fv != 1) & (gv != 1) & (hv != 1)
-            for p in primes[mixed].tolist():
-                val = estar(int(p), prob.f, prob.g, prob.h)
-                ep_list.append((int(p), val))
-                local *= val
-        else:
-            N = prob.N
-            all_zero = (fv == 0) & (gv == 0) & (hv == 0)
-            zps = primes[all_zero]
-            div = zps[N % zps == 0].astype(np.float64)
-            ndiv = zps[N % zps != 0].astype(np.float64)
-            local *= float(np.prod(1.0 + 1.0 / (ndiv - 1.0) ** 3))
-            local *= float(np.prod(1.0 - 1.0 / (div - 1.0) ** 2))
-            mixed = ~all_zero & (fv != 1) & (gv != 1) & (hv != 1)
-            for p in primes[mixed].tolist():
-                val = estar_N(int(p), prob.f, prob.g, prob.h, N)
-                ep_list.append((int(p), val))
-                local *= val
+        for p in primes[form == 0].tolist():
+            val = estar_exact(int(p), prob.f, prob.g, prob.h, prob.mode, N)
+            ep_list.append((int(p), val))
+            local *= val
         predicted = mus[0] * mus[1] * mus[2] * local
         tail = 1.0 / (pmax * math.log(pmax))  # crude bound on sum_{p > pmax} (p-1)^{-2}
         factors.update(
@@ -580,7 +593,7 @@ def _alpha_P(P: tuple[int, ...]) -> float:
 
 
 def _C_P(P: tuple[int, ...]) -> float:
-    return math.prod(1.0 - 8.0 * p * p / ((p - 1.0) ** 2 * (p * p + 1.0)) for p in P)
+    return math.prod(_c2_factor(p) for p in P)
 
 
 def _onepattern_value(P: tuple[int, ...], t: float) -> float:
@@ -593,7 +606,7 @@ def c2_product(pmax: int = 10**6, sieve: SieveTable | None = None) -> float:
     """prod over p <= pmax of |1 - 8 p^2 / ((p-1)^2 (p^2+1))| (ascending p)."""
     sieve = ensure_sieve(sieve, pmax)
     p = sieve.primes_upto(pmax).astype(np.float64)
-    terms = np.abs(1.0 - 8.0 * p * p / ((p - 1.0) ** 2 * (p * p + 1.0)))
+    terms = np.abs(_c2_factor(p))
     return float(np.exp(np.sum(np.log(terms))))
 
 
@@ -780,28 +793,14 @@ def residue_triple_gate(
     N with the frame's character riding along.  Vanishes exactly when the
     product of the frame characters is non-principal."""
     sieve = ensure_sieve(sieve, N)
+    n = np.arange(N)
 
     def dagger_table(fn: MultFunc, fr: Frame) -> np.ndarray:
-        n = np.arange(N)
+        star = twist(fn, fr.psi, fr.t)
         tab = np.ones(N, dtype=np.complex128)
         for p, e in sieve.factor(N):
-            star = twist(fn, fr.psi, fr.t)
-            w = _plain_weights(star, p, e)
-            v = np.minimum(_capped_valuations(p, e)[n % p**e], e)
-            tab *= w[v]
-        tab *= fr.psi.values()[n % fr.psi.q]
-        return tab
+            tab *= _power_weights(star.prime_value(p), e)[_capped_valuations(p, e)[n % p**e]]
+        return tab * fr.psi.values()[n % fr.psi.q]
 
-    ft = dagger_table(f, frames[0])
-    gt = dagger_table(g, frames[1])
-    ht = dagger_table(h, frames[2])
-    a, b, c = coeffs
-    FA = np.bincount(a % N * np.arange(N) % N, weights=ft.real, minlength=N).astype(np.complex128)
-    FA += 1j * np.bincount(a % N * np.arange(N) % N, weights=ft.imag, minlength=N)
-    GB = np.bincount(b % N * np.arange(N) % N, weights=gt.real, minlength=N).astype(np.complex128)
-    GB += 1j * np.bincount(b % N * np.arange(N) % N, weights=gt.imag, minlength=N)
-    HC = np.bincount(c % N * np.arange(N) % N, weights=ht.real, minlength=N).astype(np.complex128)
-    HC += 1j * np.bincount(c % N * np.arange(N) % N, weights=ht.imag, minlength=N)
-    conv = np.fft.ifft(np.fft.fft(FA) * np.fft.fft(GB))
-    total = np.sum(HC * conv[(-np.arange(N)) % N])
-    return complex(total / N**2)
+    tables = [dagger_table(fn, fr) for fn, fr in zip((f, g, h), frames)]
+    return residue_triple_sum(N, tables, list(coeffs))

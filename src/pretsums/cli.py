@@ -2,7 +2,7 @@
 
 Subcommands take `key=value` tokens plus `--format json|csv`, `--out FILE`,
 `--seed N`.  Exit codes: 0 success, 1 domain error, 2 parse error.  Output is
-deterministic for fixed argv and seed; timings never reach the stream.
+deterministic for fixed argv and seed.
 
     pretsums constants
     pretsums oscint x=1000 beta=0.01 t=2.5

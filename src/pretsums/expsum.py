@@ -20,9 +20,8 @@ continued-fraction convergents.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -165,7 +164,9 @@ class ArcDecomposition:
 
 
 def thresholds(x: int, eps: float = 0.1) -> tuple[float, float]:
-    """(Q, Q1) for scale x: Q = x/(log x)^{tau - eps}, Q1 = (log x)^2 (loglog x)^{1+eps}."""
+    """(Q, Q1) for scale x >= 3: Q = x/(log x)^{tau - eps}, Q1 = (log x)^2 (loglog x)^{1+eps}."""
+    if x < 3:
+        raise DomainError(f"thresholds need x >= 3, got {x}")
     lx = math.log(x)
     Q = x / lx ** (TAU - eps)
     Q1 = lx * lx * math.log(lx) ** (1.0 + eps)
@@ -274,7 +275,6 @@ class PredictionReport:
     predicted: complex
     terms: list[FrameTerm]
     err_budget: float
-    timings: dict = field(default_factory=dict)
 
     @property
     def abs_discrepancy(self) -> float:
@@ -285,8 +285,8 @@ class PredictionReport:
         scale = max(abs(self.oracle), 1e-300)
         return self.abs_discrepancy / scale
 
-    def to_dict(self, with_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "oracle": [self.oracle.real, self.oracle.imag],
             "predicted": [self.predicted.real, self.predicted.imag],
             "terms": [t.to_dict() for t in self.terms],
@@ -294,9 +294,6 @@ class PredictionReport:
             "abs_discrepancy": self.abs_discrepancy,
             "rel_discrepancy": self.rel_discrepancy,
         }
-        if with_timings:
-            out["timings"] = self.timings
-        return out
 
 
 def err_budget(x: int, q: int, J: int) -> float:
@@ -374,31 +371,17 @@ def predict_theorem1(
         import warnings
 
         warnings.warn(f"q={q} is outside the supported range q <= Q1 = {Q1:.1f}; computing anyway")
-    t0 = time.time()
     sieve = ensure_sieve(sieve, x)
     if frames is None:
         frames = select_frames(f, x, q, J, sieve)
-    t_frames = time.time() - t0
 
     terms, total = _frame_terms(
         f, frames, x, beta, q, sieve,
         lambda fr: theorem1_coefficient(KappaFunction(f, fr.psi, fr.t), a, q, sieve),
     )
-    t_terms = time.time() - t0 - t_frames
-
     oracle = direct_sum_rational(f, a, q, beta, x, sieve) if with_oracle else complex("nan")
     budget = (1.0 + abs(beta) * x) * err_budget(x, q, J)
-    return PredictionReport(
-        oracle=oracle,
-        predicted=total,
-        terms=terms,
-        err_budget=budget,
-        timings={
-            "frames_s": t_frames,
-            "terms_s": t_terms,
-            "oracle_s": time.time() - t0 - t_frames - t_terms,
-        },
-    )
+    return PredictionReport(oracle=oracle, predicted=total, terms=terms, err_budget=budget)
 
 
 def twisted_coefficient(

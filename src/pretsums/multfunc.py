@@ -358,13 +358,20 @@ def eval_range(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarr
 
     One sieve pass: every prime power q = p^j <= x multiplies the slice
     v[q::q] by f(p), so v[n] picks up f(p) exactly v_p(n) times.  Exact int8
-    output for {-1,0,1}-valued kinds, complex128 otherwise.
+    output for {-1,0,1}-valued kinds, complex128 otherwise.  A cached int8
+    array of f over a longer range serves x as its read-only prefix; complex
+    arrays are not sliced, because numpy rounds a complex product in a vector
+    loop and in its scalar tail differently, so a prefix can differ from a
+    fresh evaluation in the last bit.
     """
     if x < 0:
         raise DomainError(f"eval_range: x={x} < 0")
     key = (f, x)
     if key in _RANGE_CACHE:
         return _RANGE_CACHE[key]
+    for (g, n), vals in _RANGE_CACHE.items():
+        if n > x and vals.dtype == np.int8 and g == f:
+            return vals[: x + 1]
     sieve = ensure_sieve(sieve, x)
     primes = sieve.primes_upto(x)
     pv = f.prime_values(primes)

@@ -7,6 +7,7 @@ import pytest
 from pretsums.characters import DirichletCharacter
 from pretsums.circle import (
     TripleProblem,
+    _C_P,
     _capped_valuations,
     _dagger_weights,
     archimedean_E,
@@ -16,12 +17,14 @@ from pretsums.circle import (
     estar,
     estar_N,
     estar_exact,
+    estar_table,
     euler_factor_E,
     extremal_table,
     fs_mean_over_sumset,
     local_triple_sum,
     predict_triples,
     residue_triple_gate,
+    residue_triple_sum,
     signpattern_density,
     smallest_cap_exponent,
     triple_sum_direct,
@@ -40,6 +43,7 @@ from pretsums.multfunc import (
     legendre,
     liouville,
     split_small_large,
+    twist,
 )
 from pretsums.pretentious import Frame, select_global_frame
 
@@ -126,6 +130,15 @@ def test_local_factor_brute_force(sieve):
         brute /= pe**2
         mine = local_triple_sum(p, e, [wf, wg, wh], [a, b, -c], 0)
         assert abs(brute - mine) < 1e-9
+
+
+def test_dagger_weights_spike_on_conductor():
+    """Powers of f(p) p^{-it} off the conductor, the k = 0 spike on it."""
+    f = legendre(5)
+    fr = Frame(chi=f.chi, psi=f.chi, r=5, t=0.3, score=1.0)
+    assert np.array_equal(_dagger_weights(f, fr, 5, 3), [1, 0, 0, 0])
+    base = f.prime_value(3) * np.exp(-0.3j * math.log(3))
+    assert np.allclose(_dagger_weights(f, fr, 3, 3), [base**k for k in range(4)], rtol=0, atol=1e-15)
 
 
 def test_euler_factor_ones(sieve):
@@ -337,3 +350,86 @@ def test_principality_gate(sieve):
     # all-principal: the sum is the full (weighted) solution density
     g = residue_triple_gate(60, One(), One(), One(), (fr1, fr1, fr1))
     assert abs(g - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 25])
+def test_residue_triple_sum_brute_force(n):
+    """The kernel against the triple loop, with multipliers that are not
+    units mod n (n itself among them) and nonzero targets."""
+    rng = np.random.default_rng(n)
+    tables = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+    u, v, w = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    terms = tables[0][u] * tables[1][v] * tables[2][w]
+    for mults, target in [((1, 1, -1), 0), ((2, 3, -1), 1), ((4, 6, 5), 3), ((n, 10, -15), n - 1)]:
+        solved = (mults[0] * u + mults[1] * v + mults[2] * w - target) % n == 0
+        brute = np.sum(terms[solved]) / n**2
+        assert abs(residue_triple_sum(n, tables, list(mults), target) - brute) < 1e-12
+
+
+@pytest.mark.parametrize("N", [30, 60])
+def test_residue_triple_gate_brute_force(N):
+    """Coefficients (2, 3, -1), twisted frames with t != 0: the gate against a
+    triple loop over daggers built from their definition (capped valuations
+    matter at 4 | 60)."""
+    coeffs = (2, 3, -1)
+    triv = DirichletCharacter(1, ())
+    chi5 = legendre(5).chi
+    fns = (liouville(), One(), legendre(5))
+    frames = (
+        Frame(chi=chi5, psi=chi5, r=5, t=0.0, score=1.0),
+        Frame(chi=triv, psi=triv, r=1, t=0.4, score=1.0),
+        Frame(chi=chi5, psi=chi5, r=5, t=-0.25, score=1.0),
+    )
+
+    def dagger(fn, fr, m):
+        star = twist(fn, fr.psi, fr.t)
+        val = fr.psi(m % fr.psi.q)
+        for p, e in {30: ((2, 1), (3, 1), (5, 1)), 60: ((2, 2), (3, 1), (5, 1))}[N]:
+            k = 0
+            while k < e and m % p ** (k + 1) == 0:
+                k += 1
+            val *= star.prime_value(p) ** k
+        return val
+
+    tabs = [[dagger(fn, fr, m) for m in range(N)] for fn, fr in zip(fns, frames)]
+    brute = 0j
+    for u, v in itertools.product(range(N), repeat=2):
+        # c = -1: w is solved from a u + b v = w
+        brute += tabs[0][u] * tabs[1][v] * tabs[2][(coeffs[0] * u + coeffs[1] * v) % N]
+    brute /= N**2
+    assert abs(brute) > 1e-3
+    assert abs(residue_triple_gate(N, *fns, frames, coeffs) - brute) < 1e-12
+
+
+def test_estar_table_matches_exact_sum():
+    """Every closed form of the table, and NaN exactly where none applies, for
+    all 27 sign patterns in both equations."""
+    lam, zero = liouville(), Indicator(ListRule(frozenset()))
+    by_value = {-1: lam, 0: zero, 1: One()}
+    primes = np.array([3, 5])
+    for pattern in itertools.product((-1, 0, 1), repeat=3):
+        values = [np.full(len(primes), v) for v in pattern]
+        for N in (None, 3 * 5 * 7, 10**5 + 3):
+            vals, form = estar_table(primes, values, N)
+            has_form = 1 in pattern or pattern == (0, 0, 0) or (N is None and pattern == (-1, -1, -1))
+            assert np.all((form > 0) == has_form) and np.all(np.isnan(vals) != has_form)
+            if not has_form:
+                continue
+            fns = [by_value[v] for v in pattern]
+            mode = "linear" if N is None else "partition"
+            for p, val in zip(primes.tolist(), vals):
+                assert abs(val - estar_exact(p, *fns, mode, N)) < 1e-3
+
+
+def test_real_unit_route_all_minus_one_branch(sieve):
+    """f = g = h = -1 at 3 only: the all-(-1) closed form in the linear
+    product, the exact sum in the partition one."""
+    f = parse_multfunc("sign:in:3")
+    rep = predict_triples(TripleProblem(f, f, f, 1, 1, 1, x=5003), sieve=sieve)
+    assert rep.path == "real-unit"
+    assert rep.factors["local_product"] == _C_P((3,))
+    assert abs(rep.factors["local_product"] - (-0.8)) < 1e-15
+    assert rep.factors["exact_local_factors"] == []
+    rep = predict_triples(TripleProblem(f, f, f, mode="partition", N=5003), sieve=sieve)
+    assert rep.path == "real-unit"
+    assert rep.factors["exact_local_factors"] == [(3, estar_exact(3, f, f, f, "partition", 5003))]

@@ -83,6 +83,15 @@ def test_classify_alpha(sieve):
         classify_alpha(0.5, 2)
 
 
+@pytest.mark.parametrize("x", [1, 2])
+def test_predict_theorem1_rejects_tiny_x(x):
+    """log log x is not real or Q1 is 0 below 3: a domain error, not a traceback."""
+    with pytest.raises(DomainError):
+        thresholds(x)
+    with pytest.raises(DomainError):
+        predict_theorem1(One(), 1, 1, 0.0, x)
+
+
 @given(st.floats(min_value=0.0, max_value=0.999999))
 def test_classify_invariants(alpha):
     x = 10**5

@@ -29,6 +29,7 @@ from pretsums.multfunc import (
     structure_split,
     twist,
 )
+from pretsums import multfunc
 from pretsums import sieve as sieve_module
 from pretsums.sieve import SieveTable, divisors, ensure_sieve
 
@@ -62,6 +63,23 @@ def test_eval_range_matches_pointwise(sieve):
         r = eval_range(f, 300, sieve)
         for n in (1, 2, 17, 90, 128, 300):
             assert abs(complex(r[n]) - complex(eval_at(f, n, sieve))) < 1e-12
+
+
+@pytest.mark.parametrize("f", [legendre(7), ArchTwist(0.7)])
+def test_eval_range_prefix_of_cached_range(sieve, monkeypatch, f):
+    """After a longer range, a shorter one is read-only and equal to a fresh
+    evaluation to the last bit: an int8 prefix of the cached array (no new
+    entry), a complex array evaluated afresh (nit:0.7 at 5000 rounds one
+    value of its prefix differently)."""
+    monkeypatch.setattr(multfunc, "_RANGE_CACHE", {})
+    eval_range(f, 5000, sieve)
+    short = eval_range(f, 300, sieve)
+    assert len(short) == 301 and not short.flags.writeable
+    assert len(multfunc._RANGE_CACHE) == (1 if f.exact_int else 2)
+    multfunc._RANGE_CACHE.clear()
+    fresh = eval_range(f, 300, sieve)
+    assert short.dtype == fresh.dtype == (np.int8 if f.exact_int else np.complex128)
+    assert np.array_equal(short, fresh)
 
 
 @given(
