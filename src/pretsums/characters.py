@@ -205,6 +205,16 @@ class DirichletCharacter:
     q: int
     exponents: tuple[int, ...]
 
+    def __post_init__(self):
+        orders = [c.order for c in character_group(self.q).components]
+        if len(self.exponents) != len(orders) or any(
+            not 0 <= a < o for a, o in zip(self.exponents, orders)
+        ):
+            raise DomainError(
+                f"character mod {self.q} takes one exponent in [0, order) per order "
+                f"{orders}, got {self.exponents}"
+            )
+
     @property
     def group(self) -> CharacterGroup:
         return character_group(self.q)

@@ -238,7 +238,7 @@ def _dagger_weights(f: MultFunc, frame: Frame, p: int, e: int) -> np.ndarray:
     conductor, the powers of 0 (the k = 0 spike) on it."""
     if frame.r % p == 0:
         return _power_weights(0, e)
-    return _power_weights(f.prime_value(p) * np.exp(-1j * frame.t * math.log(p)), e)
+    return _power_weights(twist(f, DirichletCharacter(1, ()), frame.t).prime_value(p), e)
 
 
 def euler_factor_E(
@@ -442,8 +442,11 @@ class TripleReport:
         return abs(self.oracle_density - self.predicted_density)
 
     @property
-    def rel_discrepancy(self) -> float:
-        return self.abs_discrepancy / max(abs(self.predicted_density), 1e-300)
+    def rel_discrepancy(self) -> float | None:
+        """|oracle - predicted| / |predicted|; None (undefined) when predicted is 0."""
+        if self.predicted_density == 0:
+            return None
+        return self.abs_discrepancy / abs(self.predicted_density)
 
     def to_dict(self) -> dict:
         return {
@@ -690,12 +693,8 @@ def signpattern_density(
 
     deltas = [complex(mu_mean(fn, x, sieve)).real for fn in (f, g, h)]
     primes = sieve.primes_upto(z)
-    P = [
-        int(p)
-        for p in primes.tolist()
-        if all(abs(complex(fn.prime_value(int(p))) + 1) < 1e-12 for fn in (f, g, h))
-    ]
-    CP = _C_P(tuple(P))
+    minus = np.logical_and.reduce([fn.prime_values(primes) == -1 for fn in (f, g, h)])
+    CP = _C_P(tuple(primes[minus].tolist()))
     predicted = (
         (1.0 + eps1 * deltas[0]) * (1.0 + eps2 * deltas[1]) * (1.0 + eps3 * deltas[2])
         + eps1 * eps2 * eps3 * deltas[0] * deltas[1] * deltas[2] * (CP - 1.0)

@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
+from .funcspec import finite_float
 
 SUBCOMMANDS = (
     "expsum",
@@ -50,7 +51,7 @@ def _parse_alpha(text: str):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational alpha {text!r}") from exc
     try:
-        return float(text)
+        return finite_float(text)
     except ValueError as exc:
         raise ParseError(f"bad alpha {text!r}") from exc
 
@@ -105,9 +106,9 @@ def _float(kv: dict, key: str, default=None) -> float:
             raise ParseError(f"missing required argument {key}=")
         return default
     try:
-        return float(kv[key])
+        return finite_float(kv[key])
     except ValueError as exc:
-        raise ParseError(f"argument {key}= needs a number, got {kv[key]!r}") from exc
+        raise ParseError(f"argument {key}= needs a finite number, got {kv[key]!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,7 @@ def _cmd_triples(kv, flags, mode):
         [
             _fmt(rep.oracle_density.real),
             _fmt(rep.predicted_density.real),
-            _fmt(rep.rel_discrepancy),
+            "" if rep.rel_discrepancy is None else _fmt(rep.rel_discrepancy),
             rep.path,
         ]
     ]

@@ -281,9 +281,11 @@ class PredictionReport:
         return abs(self.oracle - self.predicted)
 
     @property
-    def rel_discrepancy(self) -> float:
-        scale = max(abs(self.oracle), 1e-300)
-        return self.abs_discrepancy / scale
+    def rel_discrepancy(self) -> float | None:
+        """|oracle - predicted| / |oracle|; None (undefined) when the oracle is 0."""
+        if self.oracle == 0:
+            return None
+        return self.abs_discrepancy / abs(self.oracle)
 
     def to_dict(self) -> dict:
         return {
@@ -463,7 +465,8 @@ def s_f_chi_predict(
     x: int,
     sieve: SieveTable | None = None,
 ) -> PredictionReport:
-    """S_f(x/ell, chi) against I(x,0,t)/ell^{1+it} prod_{p|q}(1 - f(p)conj(psi)(p)/p^{1+it}) S_{f_j}(x)."""
+    """S_f(x/ell, chi) against I(x,0,t)/ell^{1+it} k_j(q) S_{f_j}(x), where f_j is f twisted
+    by the primitive psi inducing chi and t, and k_j(q) = prod_{p|q}(1 - f_j(p)/p)."""
     sieve = ensure_sieve(sieve, x)
     from .pretentious import select_t
 
@@ -472,9 +475,7 @@ def s_f_chi_predict(
     t = select_t(g, x, math.log(x))
     f_j = twist(f, psi, t)
     S = mean_value(f_j, x, None, sieve)
-    prod = 1.0 + 0.0j
-    for p, _ in sieve.factor(chi.q) if chi.q > 1 else []:
-        prod *= 1.0 - f.prime_value(p) * np.conj(psi(p)) * p ** -(1.0 + 1j * t)
+    prod = k_factor(f_j, chi.q, sieve)
     Ival = I_value(x, 0.0, t)
     predicted = Ival / ell ** (1.0 + 1j * t) * prod * S
     oracle = mean_value(f, x // ell, chi, sieve)

@@ -26,6 +26,7 @@ Periodic specs (period q given separately; joined with `*`):
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .characters import (
@@ -38,7 +39,7 @@ from .characters import (
     periodic_one,
     periodic_product,
 )
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .multfunc import (
     AllPrimes,
     ArchTwist,
@@ -59,6 +60,14 @@ from .multfunc import (
 )
 
 
+def finite_float(text: str) -> float:
+    """float(text), with ValueError for NaN and +-inf as for any non-number."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text!r}")
+    return v
+
+
 def parse_rule(text: str) -> PrimeRule:
     if text == "all":
         return AllPrimes()
@@ -68,9 +77,11 @@ def parse_rule(text: str) -> PrimeRule:
             m, _, res = rest.partition(":")
             return ResidueRule(int(m), tuple(int(r) for r in res.split("+")))
         if head in ("le", "gt"):
-            return ThresholdRule(head, float(rest))
+            return ThresholdRule(head, finite_float(rest))
         if head == "in":
             return ListRule(frozenset(int(p) for p in rest.split("+")))
+    except DomainError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad prime rule {text!r}: {exc}") from exc
     raise ParseError(f"unknown prime rule {text!r}")
@@ -92,12 +103,12 @@ def _parse_atom(token: str) -> MultFunc:
         try:
             q = int(q_s)
             exps = tuple(int(e) for e in exps_s.split(",")) if exps_s else ()
-            return CharacterMF(DirichletCharacter(q, exps))
         except ValueError as exc:
             raise ParseError(f"bad char spec {token!r}") from exc
+        return CharacterMF(DirichletCharacter(q, exps))
     if head == "nit":
         try:
-            return ArchTwist(float(rest))
+            return ArchTwist(finite_float(rest))
         except ValueError as exc:
             raise ParseError(f"bad nit spec {token!r}") from exc
     if head == "smoothset":
@@ -128,7 +139,10 @@ def _load_prime_table(path: str) -> PrimeTable:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"table line needs 'p re im', got {line!r}")
-        p, re_s, im_s = int(parts[0]), float(parts[1]), float(parts[2])
+        try:
+            p, re_s, im_s = int(parts[0]), finite_float(parts[1]), finite_float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"bad table line {line!r}: {exc}") from exc
         if p <= last_p:
             raise ParseError(f"table primes must be ascending, got {p} after {last_p}")
         last_p = p
@@ -194,8 +208,11 @@ def _load_periodic_table(path: str, q: int) -> PeriodicFunction:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"periodic table line needs 'n re im', got {line!r}")
-        n = int(parts[0]) % q
-        tab[n] = complex(float(parts[1]), float(parts[2]))
+        try:
+            n = int(parts[0]) % q
+            tab[n] = complex(finite_float(parts[1]), finite_float(parts[2]))
+        except ValueError as exc:
+            raise ParseError(f"bad periodic table line {line!r}: {exc}") from exc
         seen.add(n)
     if len(seen) != q:
         raise ParseError(f"periodic table must list all {q} residues, got {len(seen)}")

@@ -1,9 +1,16 @@
 """Completely multiplicative functions with values in the closed unit disc.
 
-A MultFunc is determined by its values on primes; everything here evaluates
-through a shared smallest-prime-factor sieve.  Functions taking only the
-values -1, 0, 1 run on an exact integer fast path (int8 ranges, int64 sums),
-which the sign-pattern applications rely on.
+A MultFunc is determined by its values on primes, and a kind defines them by
+one method, `prime_values` over an array of primes; the scalar `prime_value`
+reads that array, and a prime rule's only membership test is its `mask`.
+Everything here evaluates through a shared smallest-prime-factor sieve.
+Functions taking only the values -1, 0, 1 run on an exact integer fast path
+(int8 ranges, int64 sums), which the sign-pattern applications rely on.
+
+`twist` is the one source of twisted prime values f(p) conj(psi)(p) p^{-it}:
+the kappa and k factors of a frame, S_{f_j}(x), the local daggers and the
+pretentious distance all read them from the twisted function, so they agree
+to the last bit.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,19 +33,13 @@ from .sieve import SieveTable, ensure_sieve, get_sieve
 
 
 class PrimeRule:
-    def matches(self, p: int) -> bool:
-        raise NotImplementedError
-
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        return np.array([self.matches(int(p)) for p in primes], dtype=bool)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class AllPrimes(PrimeRule):
     label: str = "all"
-
-    def matches(self, p: int) -> bool:
-        return True
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.ones(len(primes), dtype=bool)
@@ -50,8 +52,9 @@ class ResidueRule(PrimeRule):
     modulus: int
     residues: tuple[int, ...]
 
-    def matches(self, p: int) -> bool:
-        return p % self.modulus in self.residues
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise DomainError(f"residue rule modulus must be >= 1, got {self.modulus}")
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.isin(primes % self.modulus, np.array(self.residues))
@@ -64,9 +67,6 @@ class ThresholdRule(PrimeRule):
     op: str
     bound: float
 
-    def matches(self, p: int) -> bool:
-        return p <= self.bound if self.op == "le" else p > self.bound
-
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return primes <= self.bound if self.op == "le" else primes > self.bound
 
@@ -74,9 +74,6 @@ class ThresholdRule(PrimeRule):
 @dataclass(frozen=True)
 class ListRule(PrimeRule):
     primes: frozenset[int]
-
-    def matches(self, p: int) -> bool:
-        return p in self.primes
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.isin(primes, np.array(sorted(self.primes)))
@@ -92,11 +89,13 @@ class MultFunc:
 
     exact_int = False  # True when all values lie in {-1, 0, 1}
 
-    def prime_value(self, p: int) -> complex:
+    def prime_values(self, primes: np.ndarray) -> np.ndarray:
+        """f(p) for an int64 array of primes: int8 for {-1,0,1}-valued kinds."""
         raise NotImplementedError
 
-    def prime_values(self, primes: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def prime_value(self, p: int) -> complex:
+        """f(p) from `prime_values`; a Python int for {-1,0,1}-valued kinds."""
+        return self.prime_values(np.array([p], dtype=np.int64))[0].item()
 
     @property
     def label(self) -> str:
@@ -106,9 +105,6 @@ class MultFunc:
 @dataclass(frozen=True)
 class One(MultFunc):
     exact_int = True
-
-    def prime_value(self, p: int) -> complex:
-        return 1
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         return np.ones(len(primes), dtype=np.int8)
@@ -124,9 +120,6 @@ class SignRule(MultFunc):
 
     rule: PrimeRule
     exact_int = True
-
-    def prime_value(self, p: int) -> complex:
-        return -1 if self.rule.matches(p) else 1
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         out = np.ones(len(primes), dtype=np.int8)
@@ -146,9 +139,6 @@ class Indicator(MultFunc):
     rule: PrimeRule
     exact_int = True
 
-    def prime_value(self, p: int) -> complex:
-        return 1 if self.rule.matches(p) else 0
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         return self.rule.mask(primes).astype(np.int8)
 
@@ -164,9 +154,6 @@ class CharacterMF(MultFunc):
     @property
     def exact_int(self):  # type: ignore[override]
         return self.chi.is_real
-
-    def prime_value(self, p: int) -> complex:
-        return self.chi(p)
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         tab = self.chi.values_exact()
@@ -189,9 +176,6 @@ class ArchTwist(MultFunc):
     def exact_int(self):  # type: ignore[override]
         return self.t == 0.0
 
-    def prime_value(self, p: int) -> complex:
-        return cmath.exp(1j * self.t * math.log(p))
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         if self.t == 0.0:
             return np.ones(len(primes), dtype=np.int8)
@@ -209,7 +193,10 @@ class PrimeTable(MultFunc):
     items: tuple[tuple[int, complex], ...]
 
     def __post_init__(self):
+        sieve = get_sieve(max([2, *(p for p, _ in self.items)]))
         for p, v in self.items:
+            if not sieve.is_prime(p):
+                raise DomainError(f"prime table key {p} is not a prime")
             if abs(v) > 1 + 1e-12:
                 raise DomainError(f"|f({p})| = {abs(v)} exceeds 1")
 
@@ -217,14 +204,8 @@ class PrimeTable(MultFunc):
     def exact_int(self):  # type: ignore[override]
         return all(v in (-1, 0, 1) for _, v in self.items)
 
-    def _dict(self):
-        return dict(self.items)
-
-    def prime_value(self, p: int) -> complex:
-        return self._dict().get(p, 1)
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
-        d = self._dict()
+        d = dict(self.items)
         vals = [d.get(int(p), 1) for p in primes]
         if self.exact_int:
             return np.array([int(complex(v).real) for v in vals], dtype=np.int8)
@@ -241,9 +222,6 @@ class RandomSign(MultFunc):
 
     seed: int
     exact_int = True
-
-    def prime_value(self, p: int) -> complex:
-        return int(self.prime_values(np.array([p], dtype=np.int64))[0])
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         x = primes.astype(np.uint64) ^ np.uint64(self.seed * 0x9E3779B97F4A7C15 % (1 << 64))
@@ -271,9 +249,6 @@ class PiecewiseZ(MultFunc):
     def exact_int(self):  # type: ignore[override]
         return self.below.exact_int and self.above.exact_int
 
-    def prime_value(self, p: int) -> complex:
-        return self.below.prime_value(p) if p <= self.z else self.above.prime_value(p)
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         lo = self.below.prime_values(primes)
         hi = self.above.prime_values(primes)
@@ -291,12 +266,6 @@ class ProductMF(MultFunc):
     @property
     def exact_int(self):  # type: ignore[override]
         return all(f.exact_int for f in self.factors)
-
-    def prime_value(self, p: int) -> complex:
-        out: complex = 1
-        for f in self.factors:
-            out *= f.prime_value(p)
-        return out
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         if self.exact_int:
@@ -493,16 +462,20 @@ class KappaFunction:
     psi: DirichletCharacter
     t: float
 
+    @cached_property
+    def f_j(self) -> MultFunc:
+        """The twisted f_j, built once: every kappa(p^b) off r reads its prime values."""
+        return twist(self.f, self.psi, self.t)
+
     def at_prime_power(self, p: int, b: int) -> complex:
         if b == 0:
             return 1
-        fp = self.f.prime_value(p)
         if self.psi.q % p == 0:
-            return (fp**b) * cmath.exp(-1j * b * self.t * math.log(p))
+            return (self.f.prime_value(p) ** b) * cmath.exp(-1j * b * self.t * math.log(p))
         psip = self.psi(p)
-        fj = fp * psip.conjugate() * cmath.exp(-1j * self.t * math.log(p))
+        fj = self.f_j.prime_value(p)
         prev = fj ** (b - 1) if b > 1 else 1
-        return (psip**b) * (fj**b - prev)
+        return complex((psip**b) * (fj**b - prev))
 
     def eval(self, m: int, sieve: SieveTable) -> complex:
         out: complex = 1

@@ -263,10 +263,7 @@ def pretentious_distance(
     primes = primes[primes > y]
     if len(primes) == 0:
         return 0.0
-    fp = np.asarray(f.prime_values(primes), dtype=np.complex128)
-    pv = np.conj(psi.values())[primes % psi.q]
-    ph = np.exp(-1j * t * np.log(primes.astype(np.float64)))
-    re = np.real(fp * pv * ph)
+    re = np.real(twist(f, psi, t).prime_values(primes))
     return float(np.sum((1.0 - re) / primes))
 
 

@@ -69,6 +69,17 @@ def test_character_axioms():
                     assert abs(abs(chi(m)) - 1) < 1e-12
 
 
+def test_character_exponents_validated():
+    """One exponent per generator component, each in [0, order)."""
+    bad = ((5, (1, 2, 3)), (5, ()), (5, (4,)), (5, (-1,)), (8, (1,)), (8, (0, 2)), (1, (0,)))
+    for q, exps in bad:
+        with pytest.raises(DomainError):
+            DirichletCharacter(q, exps)
+    with pytest.raises(DomainError):
+        DirichletCharacter(0, ())
+    assert DirichletCharacter(8, (1, 1)).q == 8 and DirichletCharacter(1, ()).is_principal
+
+
 def test_conductor():
     for q in (5, 7):
         for chi in enumerate_characters(q):

@@ -175,7 +175,9 @@ def test_out_file(tmp_path):
     assert "re" in obj
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
+    table = tmp_path / "half.txt"
+    table.write_text("2.5 1 0\n")
     env_runs = [
         (["bogus"], 2),
         (["expsum", "direct", "f=nope:3", "alpha=0.5", "x=10"], 2),
@@ -184,6 +186,10 @@ def test_exit_codes():
         (["expsum", "predict", "f=one", "x=100"], 2),  # missing alpha
         (["energy", "f=one", "x=1"], 1),
         (["energy", "f=one", "x=2"], 1),
+        (["expsum", "direct", "f=one", "alpha=nan", "x=100"], 2),
+        (["expsum", "direct", "f=one", "alpha=inf", "x=100"], 2),
+        (["oscint", "x=10", "beta=nan", "t=0"], 2),
+        (["expsum", "direct", f"f=table:{table}", "alpha=1/3", "x=100"], 2),
     ]
     for args, code in env_runs:
         r = subprocess.run(
@@ -191,6 +197,34 @@ def test_exit_codes():
         )
         assert r.returncode == code, (args, r.returncode, r.stderr)
         assert "Traceback" not in r.stderr, (args, r.stderr)
+        assert len(r.stderr.splitlines()) == 1, (args, r.stderr)
+
+
+def test_constructor_domain_errors(tmp_path, capsys):
+    """Character exponents outside the group, a modulus-0 residue rule and a
+    non-prime table key are domain errors (exit 1) with one line of message."""
+    table = tmp_path / "four.txt"
+    table.write_text("2 -1 0\n4 1 0\n")
+    for spec in ("char:5:1,2,3", "char:5:", "char:5:7", "sign:mod:0:1", f"table:{table}"):
+        rc = main(["expsum", "direct", f"f={spec}", "alpha=1/3", "x=100"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("domain error:"), (spec, rc, err)
+        assert len(err.splitlines()) == 1, (spec, err)
+
+
+def test_triples_zero_prediction_has_no_relative_discrepancy():
+    """delta = 0 makes the prediction 0: the relative discrepancy is undefined,
+    an empty CSV cell and a JSON null, not a division by a tiny floor."""
+    args = ["triples", "f=minus-all", "g=minus-all", "h=sign:mod:4:3", "x=20011"]
+    rc, out = run([*args, "--format", "csv"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "oracle_density,predicted_density,rel_disc,path",
+        "-0.000161946809521,0,,generic",
+    ]
+    rc, out = run(args)
+    obj = json.loads(out)
+    assert rc == 0 and obj["predicted_density"] == [0.0, 0.0] and obj["rel_discrepancy"] is None
 
 
 def test_parse_error_echoes_token():

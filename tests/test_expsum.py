@@ -28,12 +28,24 @@ from pretsums.expsum import (
     pls_tail,
     predict_theorem1,
     predict_twisted,
+    PredictionReport,
     s_f_chi_predict,
+    theorem1_coefficient,
     thresholds,
     twisted_coefficient,
 )
 from pretsums.funcspec import parse_multfunc
-from pretsums.multfunc import KappaFunction, One, RandomSign, eval_range, legendre, liouville
+from pretsums.multfunc import (
+    ArchTwist,
+    KappaFunction,
+    One,
+    ProductMF,
+    RandomSign,
+    eval_range,
+    legendre,
+    liouville,
+    twist,
+)
 from pretsums.pretentious import select_frames
 
 FIB = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
@@ -369,3 +381,31 @@ def test_pls_tail_decay(sieve):
     for f, q in ((legendre(5), 5), (One(), 12)):
         vals = [pls_tail(f, 10**k, q, 3, sieve) / 10 ** (2 * k) for k in (4, 5)]
         assert vals[1] <= vals[0]
+
+
+@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("t", [0.0, 0.4, -2.2])
+def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
+    """The kappa of theorem1_coefficient multiplies in bit for bit the f_j(p)
+    that eval_range(twist(f, psi, t)) uses for S_{f_j}(x), at p not dividing r."""
+    psi = next(c for c in enumerate_characters(7) if c.order == order)
+    x = 2000
+    for f in (liouville(), RandomSign(3), ProductMF((RandomSign(5), ArchTwist(0.7)))):
+        kappa = KappaFunction(f, psi, t)
+        v = eval_range(twist(f, psi, t), x, sieve)
+        gauss = psi.conjugate()(1) * psi.gauss_sum()
+        for p in sieve.primes_upto(x).tolist():
+            if p == 7:
+                continue
+            fj, psip = complex(v[p]), psi(p)
+            assert kappa.at_prime_power(p, 1) == psip * (fj - 1), (f.label, p)
+            assert kappa.at_prime_power(p, 2) == psip**2 * (fj**2 - fj), (f.label, p)
+            coeff = theorem1_coefficient(kappa, 1, 7 * p, sieve)
+            assert coeff == gauss * (psip * (fj - 1)), (f.label, p)
+
+
+def test_rel_discrepancy_undefined_at_zero():
+    zero = PredictionReport(oracle=0j, predicted=0.5 + 0j, terms=[], err_budget=1.0)
+    assert zero.rel_discrepancy is None and zero.to_dict()["rel_discrepancy"] is None
+    rep = PredictionReport(oracle=2 + 0j, predicted=1.5 + 0j, terms=[], err_budget=1.0)
+    assert rep.rel_discrepancy == 0.25

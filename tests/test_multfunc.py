@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 from pretsums.characters import DirichletCharacter, enumerate_characters
 from pretsums.errors import DomainError
 from pretsums.multfunc import (
+    AllPrimes,
     ArchTwist,
+    CharacterMF,
     Indicator,
     KappaFunction,
+    ListRule,
     One,
+    PiecewiseZ,
     PrimeTable,
+    ProductMF,
     RandomSign,
     ResidueRule,
     SignRule,
@@ -245,6 +250,87 @@ def test_prime_table_rules():
     rule = ThresholdRule("gt", 10.0)
     g = SignRule(rule)
     assert g.prime_value(11) == -1 and g.prime_value(7) == 1
+
+
+def _splitmix_sign(seed: int, p: int) -> int:
+    """RandomSign's definition in plain integers: the low bit of splitmix64."""
+    mask = (1 << 64) - 1
+    z = ((p ^ (seed * 0x9E3779B97F4A7C15 & mask)) + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return 1 - 2 * ((z ^ (z >> 31)) & 1)
+
+
+def _chi7(p: int) -> complex:
+    """char:7:1, the character mod 7 with chi(3) = e(1/6) (3 generates (Z/7)*)."""
+    if p == 7:
+        return 0
+    return cmath.exp(2j * math.pi * next(k for k in range(6) if pow(3, k, 7) == p % 7) / 6)
+
+
+def _legendre(q: int, p: int) -> int:
+    return 0 if p % q == 0 else (1 if pow(p, (q - 1) // 2, q) == 1 else -1)
+
+
+_RULES = {
+    "all": (AllPrimes(), lambda p: True),
+    "mod": (ResidueRule(4, (1,)), lambda p: p % 4 == 1),
+    "le": (ThresholdRule("le", 10.0), lambda p: p <= 10),
+    "gt": (ThresholdRule("gt", 10.0), lambda p: p > 10),
+    "in": (ListRule(frozenset({3, 11})), lambda p: p in (3, 11)),
+}
+_KINDS = {
+    "one": (One(), lambda p: 1),
+    **{f"sign:{k}": (SignRule(r), lambda p, m=m: 1 - 2 * m(p)) for k, (r, m) in _RULES.items()},
+    **{f"smoothset:{k}": (Indicator(r), lambda p, m=m: int(m(p))) for k, (r, m) in _RULES.items()},
+    "legendre:5": (legendre(5), lambda p: _legendre(5, p)),
+    "char:7:1": (CharacterMF(DirichletCharacter(7, (1,))), _chi7),
+    "nit:0": (ArchTwist(0.0), lambda p: 1),
+    "nit:0.7": (ArchTwist(0.7), lambda p: cmath.exp(0.7j * math.log(p))),
+    "table:int": (PrimeTable(((2, -1), (3, 0))), lambda p: {2: -1, 3: 0}.get(p, 1)),
+    "table:complex": (PrimeTable(((2, -1), (5, 0.6j))), lambda p: {2: -1, 5: 0.6j}.get(p, 1)),
+    "randpm:9": (RandomSign(9), lambda p: _splitmix_sign(9, p)),
+    "piecewise": (
+        PiecewiseZ(RandomSign(4), legendre(3), 20.0),
+        lambda p: _splitmix_sign(4, p) if p <= 20 else _legendre(3, p),
+    ),
+    "product:int": (ProductMF((liouville(), legendre(3))), lambda p: -_legendre(3, p)),
+    "product:complex": (
+        ProductMF((RandomSign(2), CharacterMF(DirichletCharacter(7, (1,))), ArchTwist(-1.5))),
+        lambda p: _splitmix_sign(2, p) * _chi7(p) * cmath.exp(-1.5j * math.log(p)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KINDS))
+def test_prime_value_of_every_kind_and_rule(sieve, name):
+    """prime_value reads prime_values, agrees with each kind's definition, and is
+    a Python int for {-1,0,1}-valued kinds, as eval_at needs."""
+    f, want = _KINDS[name]
+    primes = sieve.primes_upto(300)
+    vals = f.prime_values(primes)
+    assert vals.dtype == (np.int8 if f.exact_int else np.complex128)
+    for k, p in enumerate(primes.tolist()):
+        v = f.prime_value(p)
+        assert v == vals[k]
+        if f.exact_int:
+            assert type(v) is int and v == want(p), (name, p, v)
+        else:
+            assert type(v) is complex and abs(v - want(p)) < 1e-14, (name, p, v)
+    if f.exact_int:
+        assert eval_at(f, 2 * 3 * 3 * 101, sieve) == want(2) * want(3) ** 2 * want(101)
+
+
+def test_constructors_reject_undefined_inputs():
+    with pytest.raises(DomainError):
+        ResidueRule(0, (1,))
+    with pytest.raises(DomainError):
+        ResidueRule(-4, (1,))
+    with pytest.raises(DomainError):
+        PrimeTable(((2, -1), (4, 1)))
+    with pytest.raises(DomainError):
+        PrimeTable(((1, 1),))
+    assert PrimeTable(((2, -1), (10007, 1))).prime_value(10007) == 1
 
 
 def test_random_sign_stable_across_ranges(sieve):
