@@ -8,9 +8,10 @@ checkout holding this script.  One line per run goes to stdout:
     <stdout sha256> <exit code> <stderr sha256> <argv>
 
 The corpus is README's CLI lines (read from README.md), the argv of
-tests/test_cli.py, complex-valued f, local-factor problems, and inputs the
-CLI rejects.  Argv that exit 1 or 2 are part of the corpus; the script itself
-exits 0.  No golden hashes are kept: diff the output of two checkouts.
+tests/test_cli.py, complex-valued f, local-factor problems, moduli on both
+sides of the character-ranking window, and inputs the CLI rejects.  Argv
+that exit 1 or 2 are part of the corpus; the script itself exits 0.  No
+golden hashes are kept: diff the output of two checkouts.
 
 Usage: python3 scripts/cli_bytes.py > hashes.txt
 """
@@ -56,6 +57,9 @@ TEST_CLI = [
     "expsum direct f=char:5: alpha=1/3 x=100",
     "expsum direct f=char:5:7 alpha=1/3 x=100",
     "expsum direct f=sign:mod:0:1 alpha=1/3 x=100",
+    "expsum direct f=legendre:4 alpha=1/3 x=100",
+    "expsum direct f=legendre:9 alpha=1/3 x=100",
+    "expsum direct f=legendre:x alpha=0.5 x=10",
     "triples f=minus-all g=minus-all h=sign:mod:4:3 x=20011",
 ]
 
@@ -93,6 +97,14 @@ LOCAL_FACTOR = [
 ]
 
 
+# a modulus beyond and inside the ranking window [sqrt(X), X^2], X = sqrt(x)
+RANKING_WINDOW = [
+    "pretend f=one x=100 q=2003",
+    "pretend f=one x=1100 q=2003",
+    "pretend f=one x=5000 q=2003",
+]
+
+
 def readme_argv() -> list[str]:
     """The `pretsums ...` lines of README's CLI block, as CI extracts them."""
     out, in_cli = [], False
@@ -127,7 +139,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     runs = 0
-    for line in readme_argv() + TEST_CLI + COMPLEX_F + LOCAL_FACTOR:
+    for line in readme_argv() + TEST_CLI + COMPLEX_F + LOCAL_FACTOR + RANKING_WINDOW:
         for fmt in ("json", "csv"):
             argv = without_format(line.split()) + ["--format", fmt]
             cmd = [sys.executable, "-m", "pretsums.cli", *argv]

@@ -18,7 +18,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import DomainError
-from .sieve import euler_phi, get_sieve
+from .sieve import euler_phi, factor
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,7 +32,7 @@ TWO_PI = 2.0 * np.pi
 def _generator(p: int) -> int:
     """Least g that generates both (Z/p)* and (Z/p^2)*."""
     phi_p = p - 1
-    fac = [q for q, _ in get_sieve(max(phi_p, 2)).factor(phi_p)] if phi_p > 1 else []
+    fac = [q for q, _ in factor(phi_p)]
     for g in range(2, p * p):
         if g % p == 0:
             continue
@@ -62,7 +62,7 @@ class CharacterGroup:
         self.q = q
         self.phi = euler_phi(q)
         comps: list[_Component] = []
-        for p, e in get_sieve(max(q, 2)).factor(q) if q > 1 else []:
+        for p, e in factor(q):
             pe = p**e
             if p == 2:
                 if e == 2:
@@ -429,7 +429,7 @@ class PeriodicFunction:
 def _crt_multipliers(q: int) -> dict[int, int]:
     """pe -> inverse of q/pe mod pe, so that x/q = sum_p x*c_p/pe mod 1."""
     out = {}
-    for p, e in get_sieve(max(q, 2)).factor(q):
+    for p, e in factor(q):
         pe = p**e
         out[pe] = pow(q // pe, -1, pe)
     return out
@@ -487,7 +487,7 @@ def periodic_char_shift(chi: DirichletCharacter, shift: int) -> PeriodicFunction
     tab = chi.values()[(n + shift) % q]
     factors = {}
     grp = chi.group
-    for p, e in get_sieve(max(q, 2)).factor(q) if q > 1 else []:
+    for p, e in factor(q):
         pe = p**e
         local = grp.prime_part_character(chi.exponents, pe)
         u = np.arange(pe)
@@ -570,14 +570,14 @@ class WeilReport:
     ok: bool
 
 
-def weil_bound_check(h: PeriodicFunction, sieve=None) -> WeilReport:
+def weil_bound_check(h: PeriodicFunction) -> WeilReport:
     """Check |sum of h mod p^e| <= (m+d) p^{e/2} per factor and globally."""
     q = h.period
     if h.weil_md is None:
         raise DomainError("weil_bound_check needs a function with (m+d) structure")
     factors = h.factors
     if not factors:
-        fac = get_sieve(max(q, 2)).factor(q) if q > 1 else []
+        fac = factor(q)
         if len(fac) == 1:
             factors = {q: h.table}
         else:
@@ -590,7 +590,7 @@ def weil_bound_check(h: PeriodicFunction, sieve=None) -> WeilReport:
         hp = PeriodicFunction(pe, tab)
         if hp.minimal_period() != pe:
             raise DomainError(f"factor mod {pe} does not have minimal period {pe}")
-        p = get_sieve(max(pe, 2)).factor(pe)[0][0]
+        p = factor(pe)[0][0]
         e = 0
         t = pe
         while t > 1:

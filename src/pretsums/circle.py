@@ -37,7 +37,7 @@ from .multfunc import (
     twist,
 )
 from .pretentious import Frame, select_global_frame
-from .sieve import SieveTable, ensure_sieve, get_sieve
+from .sieve import factor, get_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +78,13 @@ class TripleProblem:
         return self.x if self.mode == "linear" else self.N
 
 
-def triple_sum_direct(prob: TripleProblem, sieve: SieveTable | None = None) -> complex:
+def triple_sum_direct(prob: TripleProblem) -> complex:
     """Exact double loop; the third variable is solved from the equation."""
     if prob.mode == "linear":
         x = prob.x
-        fv = eval_range(prob.f, x, sieve).astype(np.complex128)
-        gv = eval_range(prob.g, x, sieve).astype(np.complex128)
-        hv = eval_range(prob.h, x, sieve).astype(np.complex128)
+        fv = eval_range(prob.f, x).astype(np.complex128)
+        gv = eval_range(prob.g, x).astype(np.complex128)
+        hv = eval_range(prob.h, x).astype(np.complex128)
         m = np.arange(1, x + 1)
         total = 0.0 + 0.0j
         for ell in range(1, x + 1):
@@ -94,9 +94,9 @@ def triple_sum_direct(prob: TripleProblem, sieve: SieveTable | None = None) -> c
             total += fv[ell] * np.sum(gv[m[ok]] * hv[n[ok]])
         return complex(total)
     N = prob.N
-    fv = eval_range(prob.f, N, sieve).astype(np.complex128)
-    gv = eval_range(prob.g, N, sieve).astype(np.complex128)
-    hv = eval_range(prob.h, N, sieve).astype(np.complex128)
+    fv = eval_range(prob.f, N).astype(np.complex128)
+    gv = eval_range(prob.g, N).astype(np.complex128)
+    hv = eval_range(prob.h, N).astype(np.complex128)
     total = 0.0 + 0.0j
     for ell in range(1, N - 1):
         m = np.arange(1, N - ell)
@@ -129,7 +129,7 @@ def _convolve(fa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
-def triple_sum_fft(prob: TripleProblem, sieve: SieveTable | None = None) -> complex:
+def triple_sum_fft(prob: TripleProblem) -> complex:
     """The same count through one discrete convolution of coefficient arrays.
 
     With {-1,0,1}-valued weights the arrays are real: the convolution runs on
@@ -144,7 +144,7 @@ def triple_sum_fft(prob: TripleProblem, sieve: SieveTable | None = None) -> comp
 
     def coefficients(fn: MultFunc, mult: int) -> np.ndarray:
         arr = np.zeros(mult * top + 1, dtype=dtype)
-        arr[mult * np.arange(1, top + 1)] = eval_range(fn, prob.scale, sieve)[1 : top + 1]
+        arr[mult * np.arange(1, top + 1)] = eval_range(fn, prob.scale)[1 : top + 1]
         return arr
 
     fa = coefficients(prob.f, prob.a)
@@ -154,11 +154,11 @@ def triple_sum_fft(prob: TripleProblem, sieve: SieveTable | None = None) -> comp
         idx = prob.c * np.arange(1, top + 1)
         idx = idx[idx < len(conv)]
         vals = conv[idx]
-        hv = eval_range(prob.h, top, sieve)[1 : len(idx) + 1]
+        hv = eval_range(prob.h, top)[1 : len(idx) + 1]
     else:
         n = np.arange(1, prob.N - 1)
         vals = conv[prob.N - n]
-        hv = eval_range(prob.h, prob.N, sieve)[n]
+        hv = eval_range(prob.h, prob.N)[n]
     if exact:
         return complex(int(np.dot(vals, hv.astype(np.int64))))
     return complex(np.sum(vals * hv.astype(np.complex128)))
@@ -465,7 +465,6 @@ class TripleReport:
 def predict_triples(
     prob: TripleProblem,
     z: float | None = None,
-    sieve: SieveTable | None = None,
     r_max: int = 12,
     pmax: int = 10**6,
 ) -> TripleReport:
@@ -480,8 +479,7 @@ def predict_triples(
     x = prob.scale
     if z is None:
         z = math.log(x)
-    sieve = ensure_sieve(sieve, x)
-    count = triple_sum_fft(prob, sieve)
+    count = triple_sum_fft(prob)
     density = count / (x * x / 2.0)
 
     frames = tuple(select_global_frame(fn, x, r_max) for fn in (prob.f, prob.g, prob.h))
@@ -495,8 +493,8 @@ def predict_triples(
     )
 
     if real_ok:
-        mus = [complex(mu_mean(fn, x, sieve)).real for fn in (prob.f, prob.g, prob.h)]
-        primes = ensure_sieve(sieve, pmax).primes_upto(pmax)
+        mus = [complex(mu_mean(fn, x)).real for fn in (prob.f, prob.g, prob.h)]
+        primes = get_sieve(pmax).primes_upto(pmax)
         N = prob.N if prob.mode == "partition" else None
         values = [fn.prime_values(primes) for fn in (prob.f, prob.g, prob.h)]
         closed, form = estar_table(primes, values, N)
@@ -526,14 +524,15 @@ def predict_triples(
         split_small_large(fn, fr.psi, fr.t, max(z, 2.0))
         for fn, fr in zip((prob.f, prob.g, prob.h), frames)
     ]
-    means = [complex(mu_mean(sp.F_l, x, sieve)) for sp in splits]
+    means = [complex(mu_mean(sp.F_l, x)) for sp in splits]
     delta = 1.0 if _product_principal([fr.psi for fr in frames]) else 0.0
     tsum = sum(fr.t for fr in frames)
     if prob.mode == "linear":
         einf = archimedean_E(prob.a, prob.b, -prob.c, frames[0].t, frames[1].t, frames[2].t, 0.0)
     else:
         einf = archimedean_E(1.0, 1.0, 1.0, frames[0].t, frames[1].t, frames[2].t, 1.0)
-    ps = [int(p) for p in sieve.primes_upto(max(z, 2)).tolist()]
+    top = max(z, 2)
+    ps = [int(p) for p in get_sieve(top).primes_upto(top).tolist()]
     for p in sorted({q for q in _prime_divisors(prob.a * prob.b * prob.c)} - set(ps)):
         ps.append(p)
     ep = []
@@ -566,7 +565,7 @@ def predict_triples(
 
 
 def _prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in get_sieve(max(n, 2)).factor(n)]
+    return [p for p, _ in factor(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +604,14 @@ def _onepattern_value(P: tuple[int, ...], t: float) -> float:
     return (1.0 + a * t - a * a * t * t - C * a**3 * t**3) / 8.0
 
 
-def c2_product(pmax: int = 10**6, sieve: SieveTable | None = None) -> float:
+def c2_product(pmax: int = 10**6) -> float:
     """prod over p <= pmax of |1 - 8 p^2 / ((p-1)^2 (p^2+1))| (ascending p)."""
-    sieve = ensure_sieve(sieve, pmax)
-    p = sieve.primes_upto(pmax).astype(np.float64)
+    p = get_sieve(max(pmax, 1)).primes_upto(pmax).astype(np.float64)
     terms = np.abs(_c2_factor(p))
     return float(np.exp(np.sum(np.log(terms))))
 
 
-def extremal_table(pmax: int = 10**6, sieve: SieveTable | None = None) -> dict:
+def extremal_table(pmax: int = 10**6) -> dict:
     """The extremal sign-pattern constants, each reproduced by maximizing the
     cubic density expression over small prime sets and the allowed t range."""
     d0 = delta0()
@@ -635,7 +633,7 @@ def extremal_table(pmax: int = 10**6, sieve: SieveTable | None = None) -> dict:
         "delta0": d0,
         "kappa": cor2_constants()[0],
         "kappa_prime": cor2_constants()[1],
-        "C2_product": c2_product(pmax, sieve),
+        "C2_product": c2_product(pmax),
         "eight_forty_fifths": val_pp,
         "eight_forty_fifths_argmax": {"P": list(best_pp[0]), "t": float(best_pp[1])},
         "two_minus_one_max": val_mm,
@@ -658,7 +656,6 @@ def signpattern_density(
     eps3: int,
     x: int,
     z: float | None = None,
-    sieve: SieveTable | None = None,
 ) -> tuple[float, float]:
     """(oracle, predicted) density of a + b = c <= x with f(a) = eps1,
     g(b) = eps2, h(c) = eps3, for {-1,1}-valued weights (a zero of f, g or
@@ -678,21 +675,20 @@ def signpattern_density(
     x = int(x)
     if z is None:
         z = math.log(x)
-    sieve = ensure_sieve(sieve, x)
 
     def weights(fn: MultFunc, eps: int) -> np.ndarray:
-        w = 1.0 + eps * eval_range(fn, x, sieve).astype(np.float64)
+        w = 1.0 + eps * eval_range(fn, x).astype(np.float64)
         w[0] = 0.0
         return w
 
     wf = weights(f, eps1)
     wg = wf if g is f and eps2 == eps1 else weights(g, eps2)
     conv = _convolve(wf, wg)[1 : x + 1]
-    wh = 1 + eps3 * eval_range(h, x, sieve)[1:].astype(np.int64)
+    wh = 1 + eps3 * eval_range(h, x)[1:].astype(np.int64)
     oracle = int(np.dot(conv, wh)) / (8.0 * (x * x / 2.0))
 
-    deltas = [complex(mu_mean(fn, x, sieve)).real for fn in (f, g, h)]
-    primes = sieve.primes_upto(z)
+    deltas = [complex(mu_mean(fn, x)).real for fn in (f, g, h)]
+    primes = get_sieve(max(z, 1)).primes_upto(z)
     minus = np.logical_and.reduce([fn.prime_values(primes) == -1 for fn in (f, g, h)])
     CP = _C_P(tuple(primes[minus].tolist()))
     predicted = (
@@ -707,8 +703,8 @@ def signpattern_density(
 # ---------------------------------------------------------------------------
 
 
-def _friable_integers(z: float, limit: int, sieve: SieveTable) -> list[int]:
-    ps = [int(p) for p in sieve.primes_upto(z).tolist()]
+def _friable_integers(z: float, limit: int) -> list[int]:
+    ps = [int(p) for p in get_sieve(limit).primes_upto(z).tolist()]
     out = []
 
     def rec(i: int, val: int):
@@ -730,7 +726,6 @@ def fs_mean_over_sumset(
     split: SmallLargeSplit,
     A: np.ndarray,
     B: np.ndarray,
-    sieve: SieveTable | None = None,
 ) -> tuple[complex, complex]:
     """(unfolded value, direct value) for the mean of F_s(a + b) over A x B.
 
@@ -741,7 +736,6 @@ def fs_mean_over_sumset(
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     smax = int(A.max() + B.max())
-    sieve = ensure_sieve(sieve, smax)
     ia = np.zeros(int(A.max()) + 1)
     ib = np.zeros(int(B.max()) + 1)
     ia[A] = 1.0
@@ -749,7 +743,7 @@ def fs_mean_over_sumset(
     wts = _convolve(ia, ib).astype(np.float64)
     denom = float(len(A) * len(B))
 
-    fs_vals = eval_range(split.F_s, smax, sieve).astype(np.complex128)
+    fs_vals = eval_range(split.F_s, smax).astype(np.complex128)
     direct = complex(np.sum(wts * fs_vals) / denom)
 
     kappa = KappaFunction(split.f, split.psi, split.t)
@@ -757,8 +751,8 @@ def fs_mean_over_sumset(
     r = split.psi.q
     t = split.t
     unfolded = 0.0 + 0.0j
-    for m in _friable_integers(split.z, smax, sieve):
-        km = kappa.eval(m, sieve)
+    for m in _friable_integers(split.z, smax):
+        km = kappa.eval(m)
         if abs(km) < 1e-15:
             continue
         mult = np.arange(m, smax + 1, m)
@@ -785,19 +779,17 @@ def residue_triple_gate(
     h: MultFunc,
     frames: tuple[Frame, Frame, Frame],
     coeffs: tuple[int, int, int] = (1, 1, -1),
-    sieve: SieveTable | None = None,
 ) -> complex:
     """(1/N^2) sum over u, v, w mod N with a u + b v + c w = 0 of
     f-dagger(u) g-dagger(v) h-dagger(w), the dagger built per prime power of
     N with the frame's character riding along.  Vanishes exactly when the
     product of the frame characters is non-principal."""
-    sieve = ensure_sieve(sieve, N)
     n = np.arange(N)
 
     def dagger_table(fn: MultFunc, fr: Frame) -> np.ndarray:
         star = twist(fn, fr.psi, fr.t)
         tab = np.ones(N, dtype=np.complex128)
-        for p, e in sieve.factor(N):
+        for p, e in factor(N):
             tab *= _power_weights(star.prime_value(p), e)[_capped_valuations(p, e)[n % p**e]]
         return tab * fr.psi.values()[n % fr.psi.q]
 

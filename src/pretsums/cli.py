@@ -194,17 +194,15 @@ def _cmd_scan(kv, flags, f, x):
     )
     from .multfunc import KappaFunction, mean_value, twist
     from .pretentious import select_global_frame
-    from .sieve import ensure_sieve
 
     M = _int(kv, "grid")
     if M < 2:
         raise ParseError("grid= must be at least 2")
     eps = _float(kv, "eps", 0.1)
     frame = select_global_frame(f, x)
-    sieve = ensure_sieve(None, x)
-    S = mean_value(twist(f, frame.psi, frame.t), x, None, sieve)
+    S = mean_value(twist(f, frame.psi, frame.t), x)
     kappa = KappaFunction(f, frame.psi, frame.t)
-    grid_R = exponential_sum_grid(f, x, M, sieve)
+    grid_R = exponential_sum_grid(f, x, M)
     marked = _mark_major(M, x, eps)  # every major row is marked; classify_alpha decides these
     rows = []
     for k in range(M):
@@ -215,7 +213,7 @@ def _cmd_scan(kv, flags, f, x):
             arc = classify_alpha(Fraction(k, M), x, eps)
             regime = arc.regime
             if regime == "major" and arc.q % frame.r == 0:
-                coeff = theorem1_coefficient(kappa, arc.a, arc.q, sieve)
+                coeff = theorem1_coefficient(kappa, arc.a, arc.q)
                 Mv = frame_term(1, frame, coeff, x, arc.beta, arc.q, S).value
         rows.append([_fmt(k / M), _fmt(abs(Rv)), regime, _fmt(abs(Mv)), _fmt(abs(Rv - Mv))])
     header = ["alpha", "absR", "regime", "absM", "absE"]

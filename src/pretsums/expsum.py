@@ -40,7 +40,7 @@ from .multfunc import (
 )
 from .oscint import I_value
 from .pretentious import Frame, select_frames, select_global_frame
-from .sieve import SieveTable, divisors, ensure_sieve, euler_phi
+from .sieve import divisors, euler_phi, get_sieve
 
 TAU = (2.0 - math.sqrt(2.0)) / 3.0
 ETA = 1.0 - 2.0 / math.pi
@@ -66,25 +66,23 @@ def _exact_dot(c: np.ndarray, w: np.ndarray) -> float:
     return math.fsum(np.concatenate([c_hi * w_hi, c_hi * w_lo, c_lo * w_hi, c_lo * w_lo]))
 
 
-def direct_sum(f: MultFunc, alpha: float, x: int, sieve: SieveTable | None = None) -> complex:
+def direct_sum(f: MultFunc, alpha: float, x: int) -> complex:
     """R_f(alpha, x) = sum_{n <= x} f(n) e(n alpha), exact summation."""
-    vals = eval_range(f, x, sieve).astype(np.complex128)
+    vals = eval_range(f, x).astype(np.complex128)
     n = np.arange(x + 1)
     ph = np.exp(2j * np.pi * np.mod(n * float(alpha), 1.0))
     z = vals * ph
     return fsum_complex(z)
 
 
-def direct_sum_rational(
-    f: MultFunc, a: int, q: int, beta: float, x: int, sieve: SieveTable | None = None
-) -> complex:
+def direct_sum_rational(f: MultFunc, a: int, q: int, beta: float, x: int) -> complex:
     """R_f(a/q + beta, x) with the rational phase folded exactly mod q.
 
     For {-1,0,1}-valued f at beta = 0, f is summed per residue class n mod q
     in integers and the q class sums meet the roots e(an/q) in exact products
     (_exact_dot), so the result is the correctly rounded value of the sum.
     """
-    vals = eval_range(f, x, sieve)
+    vals = eval_range(f, x)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     if vals.dtype == np.int8 and beta == 0.0:
         padded = np.zeros(-(-(x + 1) // q) * q, dtype=np.int8)
@@ -100,14 +98,11 @@ def direct_sum_rational(
     return fsum_complex(z)
 
 
-def friable_sum(
-    f: MultFunc, alpha: float, x: int, y: float, sieve: SieveTable | None = None
-) -> complex:
+def friable_sum(f: MultFunc, alpha: float, x: int, y: float) -> complex:
     """R restricted to y-friable n (largest prime factor <= y; n = 1 counts)."""
-    sieve = ensure_sieve(sieve, x)
-    vals = eval_range(f, x, sieve).astype(np.complex128)
+    vals = eval_range(f, x).astype(np.complex128)
     n = np.arange(x + 1)
-    mask = sieve.lpf[: x + 1] <= y
+    mask = get_sieve(max(x, 1)).lpf[: x + 1] <= y
     mask[0] = False
     z = vals[mask] * np.exp(2j * np.pi * np.mod(n[mask] * float(alpha), 1.0))
     return fsum_complex(z)
@@ -316,10 +311,10 @@ def err_budget(x: int, q: int, J: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theorem1_coefficient(kappa: KappaFunction, a: int, q: int, sieve: SieveTable) -> complex:
+def theorem1_coefficient(kappa: KappaFunction, a: int, q: int) -> complex:
     """conj(psi)(a) g(psi) kappa(q/r) at a/q for the frame (psi mod r, t) of kappa."""
     psi = kappa.psi
-    return psi.conjugate()(a) * psi.gauss_sum() * kappa.eval(q // psi.q, sieve)
+    return psi.conjugate()(a) * psi.gauss_sum() * kappa.eval(q // psi.q)
 
 
 def frame_term(
@@ -337,13 +332,12 @@ def _frame_terms(
     x: int,
     beta: float,
     q: int,
-    sieve: SieveTable,
     coefficient: Callable[[Frame], complex],
 ) -> tuple[list[FrameTerm], complex]:
     """frame_term for each frame with coefficient(frame), and their sum in frame order."""
     terms = []
     for j, fr in enumerate(frames, start=1):
-        S = mean_value(twist(f, fr.psi, fr.t), x, None, sieve)
+        S = mean_value(twist(f, fr.psi, fr.t), x)
         terms.append(frame_term(j, fr, coefficient(fr), x, beta, q, S))
     return terms, sum((t.value for t in terms), 0.0 + 0.0j)
 
@@ -361,9 +355,6 @@ def predict_theorem1(
     x: int,
     J: int = 3,
     eps: float = 0.1,
-    sieve: SieveTable | None = None,
-    frames: list[Frame] | None = None,
-    with_oracle: bool = True,
 ) -> PredictionReport:
     """Main-term prediction for R_f(a/q + beta, x) from the top J-1 frames."""
     if q < 1 or gcd(a, q) != 1:
@@ -373,15 +364,12 @@ def predict_theorem1(
         import warnings
 
         warnings.warn(f"q={q} is outside the supported range q <= Q1 = {Q1:.1f}; computing anyway")
-    sieve = ensure_sieve(sieve, x)
-    if frames is None:
-        frames = select_frames(f, x, q, J, sieve)
-
+    frames = select_frames(f, x, q, J)
     terms, total = _frame_terms(
-        f, frames, x, beta, q, sieve,
-        lambda fr: theorem1_coefficient(KappaFunction(f, fr.psi, fr.t), a, q, sieve),
+        f, frames, x, beta, q,
+        lambda fr: theorem1_coefficient(KappaFunction(f, fr.psi, fr.t), a, q),
     )
-    oracle = direct_sum_rational(f, a, q, beta, x, sieve) if with_oracle else complex("nan")
+    oracle = direct_sum_rational(f, a, q, beta, x)
     budget = (1.0 + abs(beta) * x) * err_budget(x, q, J)
     return PredictionReport(oracle=oracle, predicted=total, terms=terms, err_budget=budget)
 
@@ -390,17 +378,16 @@ def twisted_coefficient(
     f: MultFunc,
     h: PeriodicFunction,
     fr: Frame,
-    sieve: SieveTable,
 ) -> complex:
     """c_j = sum over r_j | n | q of k_j(n) kappa_j(q/n) G_h(n; psi_j)."""
     q = h.period
     kappa = KappaFunction(f, fr.psi, fr.t)
     f_j = twist(f, fr.psi, fr.t)
     total = 0.0 + 0.0j
-    for n in divisors(q, sieve):
+    for n in divisors(q):
         if n % fr.r:
             continue
-        total += k_factor(f_j, n, sieve) * kappa.eval(q // n, sieve) * pseudo_gauss(h, n, fr.psi)
+        total += k_factor(f_j, n) * kappa.eval(q // n) * pseudo_gauss(h, n, fr.psi)
     return total
 
 
@@ -409,16 +396,12 @@ def predict_twisted(
     h: PeriodicFunction,
     x: int,
     J: int = 3,
-    sieve: SieveTable | None = None,
 ) -> PredictionReport:
     """Prediction for sum_{n <= x} f(n) h(n), h of period q, via pseudo-Gauss sums."""
     q = h.period
-    sieve = ensure_sieve(sieve, x)
-    frames = select_frames(f, x, q, J, sieve)
-    terms, total = _frame_terms(
-        f, frames, x, 0.0, q, sieve, lambda fr: twisted_coefficient(f, h, fr, sieve)
-    )
-    vals = eval_range(f, x, sieve).astype(np.complex128)
+    frames = select_frames(f, x, q, J)
+    terms, total = _frame_terms(f, frames, x, 0.0, q, lambda fr: twisted_coefficient(f, h, fr))
+    vals = eval_range(f, x).astype(np.complex128)
     n = np.arange(x + 1)
     z = vals * h.values_on(n)
     oracle = fsum_complex(z)
@@ -432,12 +415,10 @@ def ap_sum(
     x: int,
     mode: str = "direct",
     J: int = 3,
-    sieve: SieveTable | None = None,
 ):
     """Sum of f over n <= x, n = a mod q: exact count or frame prediction."""
-    sieve = ensure_sieve(sieve, x)
     if mode == "direct":
-        vals = eval_range(f, x, sieve)
+        vals = eval_range(f, x)
         n = np.arange(x + 1)
         sel = vals[n % q == a % q]
         if sel.dtype == np.int8:
@@ -447,12 +428,11 @@ def ap_sum(
         raise DomainError(f"ap_sum mode must be direct or predicted, got {mode}")
     if gcd(a, q) != 1:
         raise DomainError("predicted ap_sum needs gcd(a, q) = 1")
-    frames = select_frames(f, x, q, J, sieve)
+    frames = select_frames(f, x, q, J)
     terms, total = _frame_terms(
-        f, frames, x, 0.0, q, sieve,
-        lambda fr: fr.psi(a) * k_factor(twist(f, fr.psi, fr.t), q, sieve),
+        f, frames, x, 0.0, q, lambda fr: fr.psi(a) * k_factor(twist(f, fr.psi, fr.t), q)
     )
-    oracle = ap_sum(f, a, q, x, "direct", J, sieve)
+    oracle = ap_sum(f, a, q, x, "direct", J)
     lx = math.log(x)
     budget = x / euler_phi(q) * math.log(lx) ** 2 * lx**-ETA
     return PredictionReport(oracle=complex(oracle), predicted=total, terms=terms, err_budget=budget)
@@ -463,22 +443,20 @@ def s_f_chi_predict(
     chi: DirichletCharacter,
     ell: int,
     x: int,
-    sieve: SieveTable | None = None,
 ) -> PredictionReport:
     """S_f(x/ell, chi) against I(x,0,t)/ell^{1+it} k_j(q) S_{f_j}(x), where f_j is f twisted
     by the primitive psi inducing chi and t, and k_j(q) = prod_{p|q}(1 - f_j(p)/p)."""
-    sieve = ensure_sieve(sieve, x)
     from .pretentious import select_t
 
     psi, r = chi.primitive()
     g = twist(f, psi, 0.0)
     t = select_t(g, x, math.log(x))
     f_j = twist(f, psi, t)
-    S = mean_value(f_j, x, None, sieve)
-    prod = k_factor(f_j, chi.q, sieve)
+    S = mean_value(f_j, x)
+    prod = k_factor(f_j, chi.q)
     Ival = I_value(x, 0.0, t)
     predicted = Ival / ell ** (1.0 + 1j * t) * prod * S
-    oracle = mean_value(f, x // ell, chi, sieve)
+    oracle = mean_value(f, x // ell, chi)
     term = FrameTerm(1, chi.exponents, r, t, complex(prod / ell ** (1 + 1j * t)), Ival, complex(S), complex(predicted))
     return PredictionReport(
         oracle=complex(oracle), predicted=complex(predicted), terms=[term], err_budget=float("nan")
@@ -516,32 +494,30 @@ def arc_decompose_Rf(
     x: int,
     eps: float = 0.1,
     r_max: int = 12,
-    sieve: SieveTable | None = None,
     frame: Frame | None = None,
 ) -> ArcSplit:
     """R_f = M_f + E_f with the single global frame; M_f = 0 on minor arcs
     and carries the r | q indicator on major ones."""
-    sieve = ensure_sieve(sieve, x)
     arc = classify_alpha(alpha, x, eps)
     if frame is None:
         frame = select_global_frame(f, x, r_max)
-    R = direct_sum_rational(f, arc.a, arc.q, arc.beta, x, sieve)
+    R = direct_sum_rational(f, arc.a, arc.q, arc.beta, x)
     r_div = arc.q % frame.r == 0
     M = 0.0 + 0.0j
     if arc.regime == "major" and r_div:
-        coeff = theorem1_coefficient(KappaFunction(f, frame.psi, frame.t), arc.a, arc.q, sieve)
-        S = mean_value(twist(f, frame.psi, frame.t), x, None, sieve)
+        coeff = theorem1_coefficient(KappaFunction(f, frame.psi, frame.t), arc.a, arc.q)
+        S = mean_value(twist(f, frame.psi, frame.t), x)
         M = frame_term(1, frame, coeff, x, arc.beta, arc.q, S).value
     return ArcSplit(arc=arc, R=R, M=complex(M), E=complex(R - M), frame_r=frame.r, r_divides_q=r_div)
 
 
-def exponential_sum_grid(f: MultFunc, x: int, M: int, sieve: SieveTable | None = None) -> np.ndarray:
+def exponential_sum_grid(f: MultFunc, x: int, M: int) -> np.ndarray:
     """R_f(k/M, x) for k = 0..M-1 via one FFT of the coefficient vector.
 
     For M <= x the coefficients are folded mod M first (e(nk/M) only sees
     n mod M), so the values stay exact for any grid size.
     """
-    vals = eval_range(f, x, sieve).astype(np.complex128)
+    vals = eval_range(f, x).astype(np.complex128)
     if M >= x + 1:
         buf = np.zeros(M, dtype=np.complex128)
         buf[: x + 1] = vals
@@ -613,7 +589,6 @@ def minor_arc_energy(
     x: int,
     M: int | None = None,
     eps: float = 0.1,
-    sieve: SieveTable | None = None,
 ) -> EnergyReport:
     """Grid measurement of int over minor arcs of |R_f|^2.
 
@@ -636,8 +611,7 @@ def minor_arc_energy(
         M = int(next_fast_len(8 * (x + 1)))
     if M < 2 * x + 1:
         raise DomainError(f"grid size {M} below the exactness bound 2x+1 = {2 * x + 1}")
-    sieve = ensure_sieve(sieve, x)
-    vals = eval_range(f, x, sieve)
+    vals = eval_range(f, x)
     mask = _mark_major(M, x, eps)
     if vals.dtype == np.int8:
         p2 = np.abs(np.fft.rfft(vals, M)) ** 2
@@ -652,7 +626,7 @@ def minor_arc_energy(
         minor = float(np.sum(p2 * (1.0 + mirrored - major_w)) / M)
         coeff = float(np.count_nonzero(vals))
     else:
-        p2 = np.abs(exponential_sum_grid(f, x, M, sieve)) ** 2
+        p2 = np.abs(exponential_sum_grid(f, x, M)) ** 2
         total = float(np.sum(p2) / M)
         major = float(np.sum(p2[mask]) / M)
         minor = float(np.sum(p2[~mask]) / M)
@@ -694,12 +668,10 @@ class BoundReport:
         }
 
 
-def bound_report(
-    f: MultFunc, alpha, x: int, eps: float = 0.1, sieve: SieveTable | None = None
-) -> BoundReport:
+def bound_report(f: MultFunc, alpha, x: int, eps: float = 0.1) -> BoundReport:
     """|R_f| against the three bound shapes with unit implied constants."""
     arc = classify_alpha(alpha, x, eps)
-    R = abs(direct_sum_rational(f, arc.a, arc.q, arc.beta, x, sieve))
+    R = abs(direct_sum_rational(f, arc.a, arc.q, arc.beta, x))
     lx = math.log(x)
     Rq = min(arc.q, x / max(arc.q, 1))
     if Rq >= 3:
@@ -716,19 +688,16 @@ def bound_report(
     return BoundReport(arc, R, gen, folk, refined, ratios)
 
 
-def identity_41_residual(
-    f: MultFunc, a: int, q: int, beta: float, x: int, sieve: SieveTable | None = None
-) -> float:
+def identity_41_residual(f: MultFunc, a: int, q: int, beta: float, x: int) -> float:
     """Relative residual of the exact Abel-summation identity
     R_f(x, a/q + beta) = e(beta x) R_f(x, a/q) - 2 pi i beta
     int_1^x e(beta v) R_f(v, a/q) dv."""
-    sieve = ensure_sieve(sieve, x)
-    vals = eval_range(f, x, sieve).astype(np.complex128)
+    vals = eval_range(f, x).astype(np.complex128)
     n = np.arange(x + 1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     base = vals * roots[(n * (a % q)) % q]
     P = np.cumsum(base)
-    lhs = direct_sum_rational(f, a, q, beta, x, sieve)
+    lhs = direct_sum_rational(f, a, q, beta, x)
     if beta == 0.0:
         return abs(lhs - P[x]) / x
     k = np.arange(1, x)
@@ -740,14 +709,12 @@ def identity_41_residual(
     return float(abs(lhs - rhs)) / x
 
 
-def pls_tail(
-    f: MultFunc, x: int, q: int, J: int = 3, sieve: SieveTable | None = None
-) -> float:
+def pls_tail(f: MultFunc, x: int, q: int, J: int = 3) -> float:
     """sum over chi mod q outside the top J-1 of |S_f(x, chi)|^2."""
     from .pretentious import rank_characters
 
-    ranking = rank_characters(f, math.sqrt(x), q, J, sieve)
+    ranking = rank_characters(f, math.sqrt(x), q)
     total = 0.0
     for chi, _ in ranking.entries[J - 1 :]:
-        total += abs(mean_value(f, x, chi, sieve)) ** 2
+        total += abs(mean_value(f, x, chi)) ** 2
     return total

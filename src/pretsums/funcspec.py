@@ -95,9 +95,10 @@ def _parse_atom(token: str) -> MultFunc:
     head, _, rest = token.partition(":")
     if head == "legendre":
         try:
-            return legendre(int(rest))
+            q = int(rest)
         except ValueError as exc:
             raise ParseError(f"bad legendre spec {token!r}") from exc
+        return legendre(q)
     if head == "char":
         q_s, _, exps_s = rest.partition(":")
         try:

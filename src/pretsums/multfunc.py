@@ -24,7 +24,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import DomainError
-from .sieve import SieveTable, ensure_sieve, get_sieve
+from .sieve import factor, get_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +304,10 @@ def liouville() -> SignRule:
 # ---------------------------------------------------------------------------
 
 
-def eval_at(f: MultFunc, n: int, sieve: SieveTable) -> complex:
+def eval_at(f: MultFunc, n: int) -> complex:
     """f(n) via the prime factorization of n."""
-    if n < 1 or n > sieve.limit:
-        raise DomainError(f"eval: n={n} outside [1, {sieve.limit}]")
     out: complex = 1
-    for p, e in sieve.factor(n):
+    for p, e in factor(n):
         out *= f.prime_value(p) ** e
     if isinstance(out, complex) and out.imag == 0 and float(out.real).is_integer():
         r = out.real
@@ -322,7 +320,7 @@ _RANGE_CACHE: dict[tuple, np.ndarray] = {}
 _CACHE_LIMIT = 24
 
 
-def eval_range(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarray:
+def eval_range(f: MultFunc, x: int) -> np.ndarray:
     """Array v with v[n] = f(n) for 1 <= n <= x; v[0] = 0.
 
     One sieve pass: every prime power q = p^j <= x multiplies the slice
@@ -341,8 +339,7 @@ def eval_range(f: MultFunc, x: int, sieve: SieveTable | None = None) -> np.ndarr
     for (g, n), vals in _RANGE_CACHE.items():
         if n > x and vals.dtype == np.int8 and g == f:
             return vals[: x + 1]
-    sieve = ensure_sieve(sieve, x)
-    primes = sieve.primes_upto(x)
+    primes = get_sieve(max(x, 1)).primes_upto(x)
     pv = f.prime_values(primes)
     exact = f.exact_int and pv.dtype == np.int8
     vals = np.ones(x + 1, dtype=np.int8 if exact else np.complex128)
@@ -370,12 +367,11 @@ def mean_value(
     f: MultFunc,
     x: int,
     chi: DirichletCharacter | None = None,
-    sieve: SieveTable | None = None,
 ) -> complex:
     """S_f(x, chi) = sum_{n <= x} f(n) conj(chi)(n); plain S_f(x) if chi is None."""
     if x <= 0:
         return 0
-    vals = eval_range(f, x, sieve)
+    vals = eval_range(f, x)
     if chi is None or chi.q == 1:
         if vals.dtype == np.int8:
             return int(np.sum(vals, dtype=np.int64))
@@ -388,11 +384,11 @@ def mean_value(
     return fsum_complex(vals * cvals)
 
 
-def mu_mean(f: MultFunc, x: int, sieve: SieveTable | None = None) -> complex:
+def mu_mean(f: MultFunc, x: int) -> complex:
     """mu(f, x) = S_f(x) / x."""
     if x <= 0:
         raise DomainError("mu_mean needs x >= 1")
-    return mean_value(f, x, None, sieve) / x
+    return mean_value(f, x) / x
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +473,17 @@ class KappaFunction:
         prev = fj ** (b - 1) if b > 1 else 1
         return complex((psip**b) * (fj**b - prev))
 
-    def eval(self, m: int, sieve: SieveTable) -> complex:
+    def eval(self, m: int) -> complex:
         out: complex = 1
-        for p, b in sieve.factor(m):
+        for p, b in factor(m):
             out *= self.at_prime_power(p, b)
         return out
 
 
-def k_factor(f_j: MultFunc, m: int, sieve: SieveTable) -> complex:
+def k_factor(f_j: MultFunc, m: int) -> complex:
     """prod over p | m of (1 - f_j(p)/p); the argument is the twisted f_j."""
     out: complex = 1
-    for p, _ in sieve.factor(m):
+    for p, _ in factor(m):
         out *= 1 - f_j.prime_value(p) / p
     is_c = isinstance(out, complex)
     if is_c and out.imag == 0:
@@ -500,15 +496,13 @@ def k_factor(f_j: MultFunc, m: int, sieve: SieveTable) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def build_adaptive_extremal(
-    base: MultFunc, alpha: float, x: int, sieve: SieveTable | None = None
-) -> MultFunc:
+def build_adaptive_extremal(base: MultFunc, alpha: float, x: int) -> MultFunc:
     """Redefine f on primes in (x/2, x] as e(theta - p alpha), where e(theta)
     points along the sum of f(n) e(n alpha) over n <= x with no prime factor
     above x/2.  Tie-break: theta = 0 when that sum vanishes.
     """
-    sieve = ensure_sieve(sieve, x)
-    vals = eval_range(base, x, sieve).astype(np.complex128)
+    sieve = get_sieve(max(x, 1))
+    vals = eval_range(base, x).astype(np.complex128)
     n = np.arange(x + 1)
     smooth = sieve.lpf[: x + 1] <= x / 2
     smooth[0] = False

@@ -19,14 +19,13 @@ import numpy as np
 from .characters import DirichletCharacter, enumerate_characters
 from .errors import DomainError
 from .multfunc import MultFunc, eval_range, twist
-from .sieve import SieveTable, ensure_sieve
+from .sieve import get_sieve
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _prime_data(f: MultFunc, x: int, sigma: float):
-    sieve = ensure_sieve(None, x)
-    primes = sieve.primes_upto(x)
+    primes = get_sieve(x).primes_upto(x)
     fp = np.asarray(f.prime_values(primes), dtype=np.complex128)
     keep = np.abs(fp) > 1e-15
     primes, fp = primes[keep], fp[keep]
@@ -48,7 +47,7 @@ def _log_modulus(ts: np.ndarray, lnp, w, theta) -> np.ndarray:
     return out
 
 
-def dirichlet_modulus(f: MultFunc, x: int, t: float, sieve: SieveTable | None = None) -> float:
+def dirichlet_modulus(f: MultFunc, x: int, t: float) -> float:
     """|F(1 + 1/log x + it)| as a truncated Euler product over p <= x."""
     if x < 3:
         raise DomainError(f"dirichlet_modulus needs x >= 3, got {x}")
@@ -158,25 +157,21 @@ class CharacterRanking:
         return self.entries[: max(J - 1, 1)]
 
 
-def rank_characters(
-    f: MultFunc,
-    X: float,
-    q: int,
-    J: int = 3,
-    sieve: SieveTable | None = None,
-    n_points: int = 32,
-) -> CharacterRanking:
+RANK_POINTS = 32
+
+
+def rank_characters(f: MultFunc, X: float, q: int) -> CharacterRanking:
     """Order characters mod q by s_f(X, chi) = max |S_f(v, chi)|/v over a
-    geometric grid of at least n_points points in [sqrt(X), X^2]."""
+    geometric grid of up to RANK_POINTS points in [sqrt(X), X^2]; q may not
+    exceed the top of that window."""
     hi = int(math.ceil(X * X))
-    sieve = ensure_sieve(sieve, hi)
-    if q > sieve.limit:
-        raise DomainError(f"modulus {q} exceeds sieve limit {sieve.limit}")
+    if q > hi:
+        raise DomainError(f"modulus {q} exceeds the ranking window X^2 = {hi}")
     pts = np.unique(
-        np.rint(np.geomspace(math.sqrt(X), X * X, n_points)).astype(np.int64)
+        np.rint(np.geomspace(math.sqrt(X), X * X, RANK_POINTS)).astype(np.int64)
     )
     pts = pts[pts >= 1]
-    vals = eval_range(f, hi, sieve)
+    vals = eval_range(f, hi)
     n = np.arange(hi + 1)
     entries = []
     for idx, chi in enumerate(enumerate_characters(q)):
@@ -212,11 +207,10 @@ def select_frames(
     x: int,
     q: int,
     J: int = 3,
-    sieve: SieveTable | None = None,
 ) -> list[Frame]:
     """Top J-1 frames for f mod q: rank by s_f(sqrt(x), .), then pick each
     frame's t as the maximizer for the psi-twisted function at scale x."""
-    ranking = rank_characters(f, math.sqrt(x), q, J, sieve)
+    ranking = rank_characters(f, math.sqrt(x), q)
     return [_frame(f, x, chi, chi.primitive()[0], s) for chi, s in ranking.top(J)]
 
 
@@ -255,11 +249,9 @@ def pretentious_distance(
     t: float,
     y: float,
     x: float,
-    sieve: SieveTable | None = None,
 ) -> float:
     """sum over y < p <= x of (1 - Re f(p) conj(psi)(p) p^{-it}) / p."""
-    sieve = ensure_sieve(sieve, x)
-    primes = sieve.primes_upto(x)
+    primes = get_sieve(max(int(x), 1)).primes_upto(x)
     primes = primes[primes > y]
     if len(primes) == 0:
         return 0.0
@@ -287,18 +279,16 @@ def brudern_check(
     x: int,
     threshold: float = 0.5,
     r_max: int = 12,
-    sieve: SieveTable | None = None,
 ) -> BrudernReport:
     """Bounded-distance criterion: compare the distance at scales x and x^2
     at the best frame; growth above the threshold means the distance diverges
     (minor arcs then carry a positive share of the energy, and conversely).
     """
     x2 = x * x
-    sieve = ensure_sieve(sieve, x2)
     # frame selected at the base scale; the growth test then probes [x, x^2]
     frame = select_global_frame(f, x, r_max)
-    d1 = pretentious_distance(f, frame.psi, frame.t, 1.5, x, sieve)
-    d2 = d1 + pretentious_distance(f, frame.psi, frame.t, x, x2, sieve)
+    d1 = pretentious_distance(f, frame.psi, frame.t, 1.5, x)
+    d2 = d1 + pretentious_distance(f, frame.psi, frame.t, x, x2)
     growth = d2 - d1
     return BrudernReport(
         x=x,
@@ -316,35 +306,33 @@ def brudern_check(
 # ---------------------------------------------------------------------------
 
 
-def lemsumt_residual(f: MultFunc, x: int, sieve: SieveTable | None = None) -> float:
+def lemsumt_residual(f: MultFunc, x: int) -> float:
     """|S_f(x) - x^{it}/(1+it) S_{f n^{-it}}(x)| / x at t = t_f(x, log x)."""
     from .multfunc import mean_value
 
     t = select_t(f, x, math.log(x))
-    s_plain = mean_value(f, x, None, sieve)
+    s_plain = mean_value(f, x)
     tw = twist(f, DirichletCharacter(1, ()), t)
-    s_tw = mean_value(tw, x, None, sieve)
+    s_tw = mean_value(tw, x)
     pred = np.exp(1j * t * math.log(x)) / (1 + 1j * t) * s_tw
     return float(abs(s_plain - pred)) / x
 
 
-def adapt_residual(f: MultFunc, x: int, w: float, sieve: SieveTable | None = None) -> float:
+def adapt_residual(f: MultFunc, x: int, w: float) -> float:
     """|S_f(x/w) - w^{-(1+it)} S_f(x)| / (x/w) at t = t_f(x, log x)."""
     from .multfunc import mean_value
 
     t = select_t(f, x, math.log(x))
-    s_small = mean_value(f, int(x / w), None, sieve)
-    s_big = mean_value(f, x, None, sieve)
+    s_small = mean_value(f, int(x / w))
+    s_big = mean_value(f, x)
     pred = w ** (-(1 + 1j * t)) * s_big
     return float(abs(s_small - pred)) / (x / w)
 
 
-def frame_stability(
-    f: MultFunc, q: int, xs: list[int], sieve: SieveTable | None = None
-) -> list[tuple[int, ...]]:
+def frame_stability(f: MultFunc, q: int, xs: list[int]) -> list[tuple[int, ...]]:
     """Exponent tuple of the top-ranked character mod q at each scale."""
     out = []
     for x in xs:
-        ranking = rank_characters(f, math.sqrt(x), q, 2, sieve)
+        ranking = rank_characters(f, math.sqrt(x), q)
         out.append(ranking.entries[0][0].exponents)
     return out

@@ -2,9 +2,9 @@
 
 Everything downstream evaluates completely multiplicative functions through
 one shared SieveTable, so this module is the only place that touches raw
-prime generation.  Tables are cached per limit; ask for the size you need
-via get_sieve(), or pass an optional table through ensure_sieve(), which
-keeps it when it is large enough.
+prime generation.  get_sieve(n) and factor(n) are the only ways to reach a
+table: a caller asks for the size it needs, the one cached table grows to
+serve it, and no function takes a table as an argument.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class SieveTable:
     def lpf(self) -> np.ndarray:
         """lpf[n] is the largest prime factor of n; lpf[1] = 1."""
         if self._lpf is None:
-            lpf = np.zeros(self.limit + 1, dtype=np.int64)
+            lpf = np.zeros(self.limit + 1, dtype=np.int32)
             lpf[1] = 1
             for p in self.primes:
                 lpf[p::p] = p
@@ -67,7 +67,7 @@ class SieveTable:
 
 
 def _build_spf(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, int(limit**0.5) + 1):
         if spf[p] == 0:
             block = spf[p * p :: p]
@@ -80,57 +80,53 @@ def _build_spf(limit: int) -> np.ndarray:
     return spf
 
 
-_CACHE: dict[int, SieveTable] = {}
+MAX_LIMIT = 1 << 30  # spf and lpf are int32
+
+_TABLE: SieveTable | None = None
 
 
 def get_sieve(limit: int) -> SieveTable:
-    """Shared sieve with spf up to at least `limit` (rounded up to reuse)."""
+    """The shared sieve with spf up to at least `limit` (rounded up to reuse)."""
+    global _TABLE
     if limit < 1:
         raise DomainError(f"sieve limit must be >= 1, got {limit}")
-    for cap, table in _CACHE.items():
-        if cap >= limit:
-            return table
-    # Round up so nearby requests share one table.
+    if limit > MAX_LIMIT:
+        raise DomainError(f"sieve limit {limit} exceeds {MAX_LIMIT}")
+    if _TABLE is not None and _TABLE.limit >= limit:
+        return _TABLE
+    # Round up so nearby requests share one table; the big one serves every request.
     cap = 1
     while cap < limit:
         cap *= 2
     cap = max(cap, 1 << 10)
-    table = SieveTable(cap, _build_spf(cap))
-    # Drop smaller tables; the big one serves every request.
-    _CACHE.clear()
-    _CACHE[cap] = table
-    return table
+    _TABLE = SieveTable(cap, _build_spf(cap))
+    return _TABLE
 
 
-def ensure_sieve(sieve: SieveTable | None, x: float) -> SieveTable:
-    """`sieve` when it reaches x, else the shared table from get_sieve."""
-    if sieve is not None and sieve.limit >= x:
-        return sieve
-    return get_sieve(max(int(x), 2))
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n as [(p, e), ...] with p ascending; [] for n = 1."""
+    return get_sieve(max(n, 2)).factor(n)
 
 
-def euler_phi(n: int, sieve: SieveTable | None = None) -> int:
+def euler_phi(n: int) -> int:
     if n < 1:
         raise DomainError(f"euler_phi: n={n} < 1")
-    s = ensure_sieve(sieve, n)
     out = 1
-    for p, e in s.factor(n):
+    for p, e in factor(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
 
-def divisors(n: int, sieve: SieveTable | None = None) -> list[int]:
-    s = ensure_sieve(sieve, n)
+def divisors(n: int) -> list[int]:
     ds = [1]
-    for p, e in s.factor(n):
+    for p, e in factor(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 
 
-def mobius(n: int, sieve: SieveTable | None = None) -> int:
-    s = ensure_sieve(sieve, n)
+def mobius(n: int) -> int:
     mu = 1
-    for _, e in s.factor(n):
+    for _, e in factor(n):
         if e > 1:
             return 0
         mu = -mu

@@ -12,8 +12,3 @@ hypothesis.settings.load_profile("default")
 @pytest.fixture(scope="session")
 def sieve():
     return get_sieve(10**6)
-
-
-@pytest.fixture(scope="session")
-def sieve_small():
-    return get_sieve(10**4)

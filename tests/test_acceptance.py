@@ -84,9 +84,9 @@ def test_c1_constants(sieve):
     k, kp = cor2_constants()
     _report(lines, "c1.kappa", abs(k - 0.56869) <= 1e-4, f"{k:.6f}")
     _report(lines, "c1.kappa_prime", abs(kp - 0.005044) <= 1e-5, f"{kp:.7f}")
-    c2 = c2_product(10**6, sieve)
+    c2 = c2_product(10**6)
     _report(lines, "c1.C2_product", abs(c2 - 1.322) <= 0.003, f"{c2:.5f}")
-    tab = extremal_table(10**6, sieve)
+    tab = extremal_table(10**6)
     _report(
         lines,
         "c1.eight_forty_fifths",
@@ -145,13 +145,13 @@ def test_c2_exactness(sieve):
             fs = [RandomSign(400 + k), Indicator(ResidueRule(4, (1, 3))), RandomSign(500 + k)]
         a, b, c = (int(rng.integers(1, 4)) for _ in range(3))
         prob = TripleProblem(*fs, a, b, c, x=2000)
-        if triple_sum_direct(prob, sieve) != triple_sum_fft(prob, sieve):
+        if triple_sum_direct(prob) != triple_sum_fft(prob):
             ok = False
             break
     _report(lines, "c2.fft_vs_direct", ok, "20 random +-1/0 triples at x = 2000, exact")
 
     x = 2**14
-    rep = minor_arc_energy(One(), x, sieve=sieve)
+    rep = minor_arc_energy(One(), x)
     rel = abs(rep.total_energy - rep.coefficient_energy) / rep.coefficient_energy
     _report(lines, "c2.parseval", rel <= 1e-6, f"relative dev = {rel:.2e}")
 
@@ -159,9 +159,9 @@ def test_c2_exactness(sieve):
     chi5 = legendre(5).chi
     for f, psi, t in ((liouville(), chi5, 0.3), (legendre(7), chi5, 0.0), (RandomSign(3), chi5, 1.1)):
         kap = KappaFunction(f, psi, t)
-        fv = eval_range(f, 1000, sieve).astype(np.complex128)
+        fv = eval_range(f, 1000).astype(np.complex128)
         for n in range(1, 1001):
-            tot = sum(kap.eval(d, sieve) * psi(n // d) for d in divisors(n, sieve))
+            tot = sum(kap.eval(d) * psi(n // d) for d in divisors(n))
             lhs = fv[n] * np.exp(-1j * t * math.log(n))
             worst = max(worst, abs(tot - lhs))
     _report(lines, "c2.convolution_identity", worst <= 1e-9, f"max dev = {worst:.2e} for n <= 1e3")
@@ -201,7 +201,7 @@ def test_c3_decay_theorem1(sieve):
     for name, (f, (a, q), pretentious) in funcs.items():
         for aa, qq in ((a, q), (0, 1)):
             rels = [
-                predict_theorem1(f, aa, qq, 0.0, x, J=3, sieve=sieve).abs_discrepancy / x
+                predict_theorem1(f, aa, qq, 0.0, x, J=3).abs_discrepancy / x
                 for x in SCALES
             ]
             ok = _mono(rels)
@@ -228,7 +228,7 @@ def test_c3_decay_ap_and_twisted_sums(sieve):
     }
     for name, (f, (a, q), pretentious) in ap_cases.items():
         rels = [
-            ap_sum(f, a, q, x, "predicted", 3, sieve).abs_discrepancy / x for x in SCALES
+            ap_sum(f, a, q, x, "predicted", 3).abs_discrepancy / x for x in SCALES
         ]
         ok = _mono(rels)
         if pretentious:
@@ -252,7 +252,7 @@ def test_c3_decay_ap_and_twisted_sums(sieve):
         "rand": (RandomSign(RAND_SEED), chi6, 2, False),
     }
     for name, (f, chi, ell, pretentious) in sf_cases.items():
-        rels = [s_f_chi_predict(f, chi, ell, x, sieve).abs_discrepancy / x for x in SCALES]
+        rels = [s_f_chi_predict(f, chi, ell, x).abs_discrepancy / x for x in SCALES]
         ok = _mono(rels)
         if pretentious:
             ok &= rels[-1] <= 3.0 / math.log(SCALES[-1])
@@ -270,7 +270,7 @@ def test_c4_abc1_and_signpattern(sieve):
     t0 = time.time()
     lines = []
     A = Indicator(ResidueRule(4, (1,)))
-    rep = predict_triples(TripleProblem(A, A, A, 1, 1, 1, x=10**5), sieve=sieve)
+    rep = predict_triples(TripleProblem(A, A, A, 1, 1, 1, x=10**5))
     # both sides vanish identically: the p = 2 factor is 0 and so is the count
     if rep.predicted_density == 0:
         ok = rep.oracle_density == 0
@@ -283,7 +283,7 @@ def test_c4_abc1_and_signpattern(sieve):
     from pretsums.multfunc import ListRule, SignRule
 
     f2 = SignRule(ListRule(frozenset({2})))
-    oracle, pred = signpattern_density(f2, f2, f2, -1, -1, -1, 10**5, sieve=sieve)
+    oracle, pred = signpattern_density(f2, f2, f2, -1, -1, -1, 10**5)
     rel = abs(oracle - pred) / pred
     _report(lines, "c4.signpattern_P2", rel <= 0.05, f"oracle={oracle:.6f} pred={pred:.6f} rel={rel:.4f}")
     print(f"abc1/signpattern: {time.time() - t0:.1f}s")
@@ -301,7 +301,7 @@ def test_c4_abc1_and_signpattern(sieve):
 def test_c4_abc2(sieve):
     lines = []
     A = Indicator(ResidueRule(4, (1,)))
-    rep = predict_triples(TripleProblem(A, A, A, mode="partition", N=10**5 + 3), sieve=sieve)
+    rep = predict_triples(TripleProblem(A, A, A, mode="partition", N=10**5 + 3))
     _report(
         lines,
         "c4.abc2",
@@ -323,8 +323,8 @@ def test_c5_energy_and_distance(sieve):
     bounded_fs = {"one": One(), "leg3": legendre(3)}
     growing_fs = {"minus": liouville(), "rand": RandomSign(RAND_SEED)}
     for name, f in bounded_fs.items():
-        r14 = minor_arc_energy(f, 2**14, sieve=sieve).minor_ratio
-        r16 = minor_arc_energy(f, 2**16, sieve=sieve).minor_ratio
+        r14 = minor_arc_energy(f, 2**14).minor_ratio
+        r16 = minor_arc_energy(f, 2**16).minor_ratio
         _report(
             lines,
             f"c5.energy_decreases.{name}",
@@ -332,8 +332,8 @@ def test_c5_energy_and_distance(sieve):
             f"ratio 2^14 = {r14:.5f} -> 2^16 = {r16:.5f}",
         )
     for name, f in growing_fs.items():
-        r14 = minor_arc_energy(f, 2**14, sieve=sieve).minor_ratio
-        r16 = minor_arc_energy(f, 2**16, sieve=sieve).minor_ratio
+        r14 = minor_arc_energy(f, 2**14).minor_ratio
+        r16 = minor_arc_energy(f, 2**16).minor_ratio
         _report(
             lines,
             f"c5.energy_stays.{name}",
@@ -341,10 +341,10 @@ def test_c5_energy_and_distance(sieve):
             f"ratios {r14:.3f}, {r16:.3f} (floor 0.05)",
         )
     verdicts = {
-        "one": (brudern_check(One(), 1000, sieve=sieve).bounded, True),
-        "leg3": (brudern_check(legendre(3), 1000, sieve=sieve).bounded, True),
-        "minus": (brudern_check(liouville(), 1000, sieve=sieve).bounded, False),
-        "rand": (brudern_check(RandomSign(RAND_SEED), 1000, sieve=sieve).bounded, False),
+        "one": (brudern_check(One(), 1000).bounded, True),
+        "leg3": (brudern_check(legendre(3), 1000).bounded, True),
+        "minus": (brudern_check(liouville(), 1000).bounded, False),
+        "rand": (brudern_check(RandomSign(RAND_SEED), 1000).bounded, False),
     }
     for name, (got, expect) in verdicts.items():
         _report(lines, f"c5.verdict.{name}", got == expect, f"bounded={got}")

@@ -192,7 +192,7 @@ def test_dagger_inclusion_exclusion(sieve):
         m = 12
         lhs = pseudo_gauss_dagger(h, m, psi)
         rhs = 0j
-        for d in divisors(m, sieve):
+        for d in divisors(m):
             if psi(d) == 0 or mobius(d) == 0:
                 continue
             rhs += mobius(d) * psi(d) * pseudo_gauss(h, m // d, psi)

@@ -50,13 +50,13 @@ from pretsums.pretentious import Frame, select_global_frame
 
 def test_triple_counts_basic(sieve):
     p = TripleProblem(One(), One(), One(), 1, 1, 1, x=4)
-    assert triple_sum_direct(p, sieve) == 6
-    assert triple_sum_fft(p, sieve) == 6
+    assert triple_sum_direct(p) == 6
+    assert triple_sum_fft(p) == 6
     p = TripleProblem(One(), One(), One(), mode="partition", N=6)
-    assert triple_sum_direct(p, sieve) == 10
-    assert triple_sum_fft(p, sieve) == 10
+    assert triple_sum_direct(p) == 10
+    assert triple_sum_fft(p) == 10
     p = TripleProblem(One(), One(), One(), 1, 1, 1, x=2)
-    assert triple_sum_direct(p, sieve) == 1  # 1 + 1 = 2 only
+    assert triple_sum_direct(p) == 1  # 1 + 1 = 2 only
     with pytest.raises(DomainError):
         TripleProblem(One(), One(), One(), 0, 1, 1, x=10)
     with pytest.raises(DomainError):
@@ -69,22 +69,22 @@ def test_dual_path_exact(sieve):
         fs = [RandomSign(int(rng.integers(1, 1000))) for _ in range(3)]
         a, b, c = (int(rng.integers(1, 4)) for _ in range(3))
         p = TripleProblem(*fs, a, b, c, x=700)
-        assert triple_sum_direct(p, sieve) == triple_sum_fft(p, sieve)
+        assert triple_sum_direct(p) == triple_sum_fft(p)
     # indicator weights too
     f0 = Indicator(ResidueRule(2, (1,)))
     p = TripleProblem(f0, One(), One(), 1, 1, 1, x=100)
-    assert triple_sum_direct(p, sieve) == triple_sum_fft(p, sieve)
+    assert triple_sum_direct(p) == triple_sum_fft(p)
     # partition mode with signs
     p = TripleProblem(liouville(), RandomSign(5), One(), mode="partition", N=900)
-    assert triple_sum_direct(p, sieve) == triple_sum_fft(p, sieve)
+    assert triple_sum_direct(p) == triple_sum_fft(p)
 
 
 def test_dual_path_complex(sieve):
     from pretsums.multfunc import ArchTwist
 
     p = TripleProblem(ArchTwist(0.5), One(), liouville(), 1, 2, 1, x=400)
-    d = triple_sum_direct(p, sieve)
-    f = triple_sum_fft(p, sieve)
+    d = triple_sum_direct(p)
+    f = triple_sum_fft(p)
     assert abs(d - f) < 1e-6 * 400**2
 
 
@@ -197,7 +197,7 @@ def test_constants():
 
 
 def test_extremal_table(sieve):
-    tab = extremal_table(10**6, sieve)
+    tab = extremal_table(10**6)
     assert abs(tab["C2_product"] - 1.322) < 0.003
     assert abs(tab["eight_forty_fifths"] - 8 / 45) < 1e-6
     assert tab["eight_forty_fifths_argmax"]["P"] == [2]
@@ -208,14 +208,14 @@ def test_extremal_table(sieve):
 
 def test_c2_truncation_stability(sieve):
     """Refining the cutoff moves the product by less than the tail scale."""
-    a = c2_product(10**5, sieve)
-    b = c2_product(10**6, sieve)
+    a = c2_product(10**5)
+    b = c2_product(10**6)
     assert abs(a - b) < 1e-3
 
 
 def test_predict_triples_ones(sieve):
     prob = TripleProblem(One(), One(), One(), 1, 1, 1, x=2000)
-    rep = predict_triples(prob, sieve=sieve)
+    rep = predict_triples(prob)
     assert rep.path == "real-unit"
     assert abs(rep.predicted_density - 1.0) < 1e-12
     assert abs(rep.oracle_density - 1.0) < 2e-3
@@ -224,14 +224,14 @@ def test_predict_triples_ones(sieve):
 def test_predict_triples_z_stability(sieve):
     """For f = g = h = 1 every local factor is 1, so refining z is inert."""
     prob = TripleProblem(One(), One(), One(), 1, 1, 1, x=2000)
-    a = predict_triples(prob, z=5.0, sieve=sieve)
-    b = predict_triples(prob, z=50.0, sieve=sieve)
+    a = predict_triples(prob, z=5.0)
+    b = predict_triples(prob, z=50.0)
     assert abs(a.predicted_density - b.predicted_density) < 1e-12
 
 
 def test_predict_triples_nonprincipal_gate(sieve):
     prob = TripleProblem(legendre(5), One(), One(), 1, 1, 1, x=2 * 10**4)
-    rep = predict_triples(prob, sieve=sieve)
+    rep = predict_triples(prob)
     assert rep.path == "generic"
     assert rep.factors["delta_principal"] == 0.0
     assert abs(rep.predicted_density) < 1e-12
@@ -243,35 +243,35 @@ def test_abc1_modified_set(sieve):
     count; the pure 1-mod-4 set is degenerate (both sides vanish)."""
     A2 = Indicator(ResidueRule(4, (1, 2)))
     prob = TripleProblem(A2, A2, A2, 1, 1, 1, x=10**5)
-    rep = predict_triples(prob, sieve=sieve)
+    rep = predict_triples(prob)
     assert rep.path == "real-unit"
     assert rep.rel_discrepancy < 0.06
     A = Indicator(ResidueRule(4, (1,)))
-    rep0 = predict_triples(TripleProblem(A, A, A, 1, 1, 1, x=2 * 10**4), sieve=sieve)
+    rep0 = predict_triples(TripleProblem(A, A, A, 1, 1, 1, x=2 * 10**4))
     assert rep0.oracle_density == 0 and abs(rep0.predicted_density) < 1e-15
 
 
 def test_signpattern(sieve):
     one = One()
-    oracle, pred = signpattern_density(one, one, one, -1, -1, -1, 10**4, sieve=sieve)
+    oracle, pred = signpattern_density(one, one, one, -1, -1, -1, 10**4)
     assert oracle == 0.0 and abs(pred) < 1e-12
-    oracle, pred = signpattern_density(one, one, one, 1, 1, 1, 10**4, sieve=sieve)
+    oracle, pred = signpattern_density(one, one, one, 1, 1, 1, 10**4)
     assert abs(pred - 1.0) < 1e-12 and abs(oracle - 1.0) < 1e-3
     f2 = SignRule(ListRule(frozenset({2})))
-    oracle, pred = signpattern_density(f2, f2, f2, -1, -1, -1, 10**5, sieve=sieve)
+    oracle, pred = signpattern_density(f2, f2, f2, -1, -1, -1, 10**5)
     assert abs(oracle - pred) / pred < 0.05
     with pytest.raises(DomainError):
-        signpattern_density(one, one, one, 0, 1, 1, 100, sieve=sieve)
+        signpattern_density(one, one, one, 0, 1, 1, 100)
 
 
-def _eight_term_density(f, g, h, eps, x, sieve):
+def _eight_term_density(f, g, h, eps, x):
     """The sign-pattern density as the eight expanded triple counts."""
     one = One()
     total = 0
     for sf, sg, sh in itertools.product((False, True), repeat=3):
         prob = TripleProblem(f if sf else one, g if sg else one, h if sh else one, 1, 1, 1, x=x)
         w = (eps[0] if sf else 1) * (eps[1] if sg else 1) * (eps[2] if sh else 1)
-        total += w * int(triple_sum_fft(prob, sieve).real)
+        total += w * int(triple_sum_fft(prob).real)
     return total / (8.0 * (x * x / 2.0))
 
 
@@ -288,13 +288,13 @@ def test_signpattern_matches_eight_term_expansion(sieve, specs):
     f, g, h = fs if len(fs) == 3 else fs * 3
     x = 2003
     for eps in itertools.product((-1, 1), repeat=3):
-        oracle, _ = signpattern_density(f, g, h, *eps, x, sieve=sieve)
-        assert oracle == _eight_term_density(f, g, h, eps, x, sieve)
+        oracle, _ = signpattern_density(f, g, h, *eps, x)
+        assert oracle == _eight_term_density(f, g, h, eps, x)
 
 
 def test_signpattern_rejects_complex_weights(sieve):
     with pytest.raises(DomainError):
-        signpattern_density(legendre(5), parse_multfunc("char:5:1"), One(), 1, 1, 1, 100, sieve=sieve)
+        signpattern_density(legendre(5), parse_multfunc("char:5:1"), One(), 1, 1, 1, 100)
 
 
 @pytest.mark.parametrize("spec", ["randpm:4", "legendre:7", "char:5:1"])
@@ -311,7 +311,7 @@ def test_triple_fft_self_convolution_matches_direct(sieve, spec):
         TripleProblem(f, f, g, mode="partition", N=300),
     ]
     for prob in probs:
-        direct, fft = triple_sum_direct(prob, sieve), triple_sum_fft(prob, sieve)
+        direct, fft = triple_sum_direct(prob), triple_sum_fft(prob)
         if f.exact_int:
             assert direct == fft
         else:
@@ -322,20 +322,20 @@ def test_fs_mean_over_sumset(sieve):
     triv = DirichletCharacter(1, ())
     # F_s = 1: mean is exactly 1
     sp1 = split_small_large(One(), triv, 0.0, 5.0)
-    lem, direct = fs_mean_over_sumset(sp1, np.array([1]), np.array([1]), sieve)
+    lem, direct = fs_mean_over_sumset(sp1, np.array([1]), np.array([1]))
     assert abs(direct - 1.0) < 1e-12 and abs(lem - 1.0) < 1e-12
     # singleton sets: mean = F_s(2)
     f = SignRule(ThresholdRule("le", 7.0))
     sp = split_small_large(f, triv, 0.0, 7.0)
-    lem, direct = fs_mean_over_sumset(sp, np.array([1]), np.array([1]), sieve)
+    lem, direct = fs_mean_over_sumset(sp, np.array([1]), np.array([1]))
     assert abs(direct - sp.F_s.prime_value(2)) < 1e-12
     # A = B = 1..1000 with a sign function: the unfolded sum equals the direct mean
     A = np.arange(1, 1001)
-    lem, direct = fs_mean_over_sumset(sp, A, A, sieve)
+    lem, direct = fs_mean_over_sumset(sp, A, A)
     assert abs(lem - direct) < 1e-9
     # twisted frame
     sp2 = split_small_large(liouville(), legendre(5).chi, 0.3, 10.0)
-    lem, direct = fs_mean_over_sumset(sp2, np.arange(1, 500), np.arange(2, 700, 3), sieve)
+    lem, direct = fs_mean_over_sumset(sp2, np.arange(1, 500), np.arange(2, 700, 3))
     assert abs(lem - direct) < 1e-9
 
 
@@ -425,11 +425,11 @@ def test_real_unit_route_all_minus_one_branch(sieve):
     """f = g = h = -1 at 3 only: the all-(-1) closed form in the linear
     product, the exact sum in the partition one."""
     f = parse_multfunc("sign:in:3")
-    rep = predict_triples(TripleProblem(f, f, f, 1, 1, 1, x=5003), sieve=sieve)
+    rep = predict_triples(TripleProblem(f, f, f, 1, 1, 1, x=5003))
     assert rep.path == "real-unit"
     assert rep.factors["local_product"] == _C_P((3,))
     assert abs(rep.factors["local_product"] - (-0.8)) < 1e-15
     assert rep.factors["exact_local_factors"] == []
-    rep = predict_triples(TripleProblem(f, f, f, mode="partition", N=5003), sieve=sieve)
+    rep = predict_triples(TripleProblem(f, f, f, mode="partition", N=5003))
     assert rep.path == "real-unit"
     assert rep.factors["exact_local_factors"] == [(3, estar_exact(3, f, f, f, "partition", 5003))]

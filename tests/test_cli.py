@@ -181,6 +181,7 @@ def test_exit_codes(tmp_path):
     env_runs = [
         (["bogus"], 2),
         (["expsum", "direct", "f=nope:3", "alpha=0.5", "x=10"], 2),
+        (["expsum", "direct", "f=legendre:x", "alpha=0.5", "x=10"], 2),
         (["expsum", "predict", "f=one", "alpha=2/4x", "x=10"], 2),
         (["oscint", "x=-1", "beta=0", "t=0"], 1),
         (["expsum", "predict", "f=one", "x=100"], 2),  # missing alpha
@@ -201,11 +202,13 @@ def test_exit_codes(tmp_path):
 
 
 def test_constructor_domain_errors(tmp_path, capsys):
-    """Character exponents outside the group, a modulus-0 residue rule and a
-    non-prime table key are domain errors (exit 1) with one line of message."""
+    """Character exponents outside the group, a modulus-0 residue rule, a
+    non-prime table key and a Legendre modulus that is not an odd prime are
+    domain errors (exit 1) with one line of message."""
     table = tmp_path / "four.txt"
     table.write_text("2 -1 0\n4 1 0\n")
-    for spec in ("char:5:1,2,3", "char:5:", "char:5:7", "sign:mod:0:1", f"table:{table}"):
+    specs = ("char:5:1,2,3", "char:5:", "char:5:7", "sign:mod:0:1", f"table:{table}", "legendre:4", "legendre:9")
+    for spec in specs:
         rc = main(["expsum", "direct", f"f={spec}", "alpha=1/3", "x=100"])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("domain error:"), (spec, rc, err)

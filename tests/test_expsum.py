@@ -53,19 +53,19 @@ FIB = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
 
 
 def test_direct_sums(sieve):
-    assert abs(direct_sum(One(), 0.0, 100, sieve) - 100) < 1e-12
-    assert abs(direct_sum(One(), 0.5, 4, sieve)) < 1e-12
+    assert abs(direct_sum(One(), 0.0, 100) - 100) < 1e-12
+    assert abs(direct_sum(One(), 0.5, 4)) < 1e-12
     # relation to the Gauss sum over complete periods
     leg7 = legendre(7)
     g7 = leg7.chi.gauss_sum()
-    v = direct_sum_rational(leg7, 1, 7, 0.0, 700, sieve)
+    v = direct_sum_rational(leg7, 1, 7, 0.0, 700)
     assert abs(v - 100 * g7) < 1e-9
 
 
 def test_friable_sum(sieve):
-    assert abs(friable_sum(One(), 0.3, 50, 50, sieve) - direct_sum(One(), 0.3, 50, sieve)) < 1e-12
-    assert abs(friable_sum(One(), 0.25, 10, 1, sieve) - np.exp(0.5j * np.pi)) < 1e-12
-    assert abs(friable_sum(One(), 0.0, 100, 2, sieve) - 7) < 1e-12
+    assert abs(friable_sum(One(), 0.3, 50, 50) - direct_sum(One(), 0.3, 50)) < 1e-12
+    assert abs(friable_sum(One(), 0.25, 10, 1) - np.exp(0.5j * np.pi)) < 1e-12
+    assert abs(friable_sum(One(), 0.0, 100, 2) - 7) < 1e-12
 
 
 def test_friable_bound_15(sieve):
@@ -73,7 +73,7 @@ def test_friable_bound_15(sieve):
     x, y = 10**5, 30.0
     for f in (liouville(), RandomSign(1)):
         for a, q in ((1, 3), (2, 7)):
-            v = abs(friable_sum(f, a / q, x, y, sieve))
+            v = abs(friable_sum(f, a / q, x, y))
             bound = (
                 math.sqrt(x * y)
                 + (x / math.sqrt(q) + math.sqrt(x * q * math.log(2 * x / q))) * math.log(y)
@@ -117,7 +117,7 @@ def test_classify_invariants(alpha):
 
 def test_predict_theorem1_character(sieve):
     """f a primitive character: the single-frame main term is near exact."""
-    rep = predict_theorem1(legendre(5), 1, 5, 0.0, 10**5, J=3, sieve=sieve)
+    rep = predict_theorem1(legendre(5), 1, 5, 0.0, 10**5, J=3)
     assert rep.rel_discrepancy < 1e-3
     # leading frame carries r = 5 and t ~ 0
     lead = rep.terms[0]
@@ -128,16 +128,16 @@ def test_predict_theorem1_character(sieve):
 
 
 def test_predict_theorem1_degenerate(sieve):
-    rep = predict_theorem1(One(), 0, 1, 0.0, 10**4, J=3, sieve=sieve)
+    rep = predict_theorem1(One(), 0, 1, 0.0, 10**4, J=3)
     assert rep.abs_discrepancy < 1e-9
     with pytest.raises(DomainError):
-        predict_theorem1(One(), 2, 4, 0.0, 10**4, sieve=sieve)
+        predict_theorem1(One(), 2, 4, 0.0, 10**4)
 
 
 def test_predict_theorem1_decay(sieve):
     rels = []
     for x in (10**4, 10**5):
-        rep = predict_theorem1(legendre(5), 2, 5, 0.0, x, J=3, sieve=sieve)
+        rep = predict_theorem1(legendre(5), 2, 5, 0.0, x, J=3)
         rels.append(rep.abs_discrepancy / x)
         assert rep.abs_discrepancy <= rep.err_budget
     assert rels[1] <= rels[0]
@@ -149,7 +149,7 @@ def test_err_budget_shape():
 
 
 def test_predict_twisted_trivial(sieve):
-    rep = predict_twisted(One(), periodic_one(), 10**4, sieve=sieve)
+    rep = predict_twisted(One(), periodic_one(), 10**4)
     assert rep.abs_discrepancy < 1e-9
 
 
@@ -158,14 +158,14 @@ def test_predict_twisted_reduces_to_theorem1(sieve):
     x = 10**4
     for f, q in ((legendre(5), 5), (legendre(5), 10), (liouville(), 12)):
         h = periodic_exp_fraction(q)
-        frames = select_frames(f, x, q, 3, sieve)
+        frames = select_frames(f, x, q, 3)
         for fr in frames:
-            c = twisted_coefficient(f, h, fr, sieve)
+            c = twisted_coefficient(f, h, fr)
             kap = KappaFunction(f, fr.psi, fr.t)
-            expect = fr.psi.gauss_sum() * kap.eval(q // fr.r, sieve)
+            expect = fr.psi.gauss_sum() * kap.eval(q // fr.r)
             assert abs(c - expect) < 1e-9, (q, fr.r)
-        rep_t = predict_twisted(f, h, x, 3, sieve)
-        rep_1 = predict_theorem1(f, 1, q, 0.0, x, 3, sieve=sieve)
+        rep_t = predict_twisted(f, h, x, 3)
+        rep_1 = predict_theorem1(f, 1, q, 0.0, x, 3)
         assert abs(rep_t.predicted - rep_1.predicted) < 1e-6
 
 
@@ -174,7 +174,7 @@ def test_predict_twisted_kloosterman(sieve):
     q = 7
     f = legendre(q)
     h = periodic_kloosterman(q, 1, 1)
-    rep = predict_twisted(f, h, 10**5, 3, sieve)
+    rep = predict_twisted(f, h, 10**5, 3)
     from pretsums.sieve import euler_phi
 
     md = h.weil_md
@@ -187,32 +187,32 @@ def test_predict_twisted_kloosterman(sieve):
 
 
 def test_ap_sum(sieve):
-    rep = ap_sum(One(), 1, 4, 10**5, "predicted", 3, sieve)
+    rep = ap_sum(One(), 1, 4, 10**5, "predicted", 3)
     assert rep.oracle == 25000
     assert abs(rep.predicted - 25000) / 25000 < 1e-3
-    d = ap_sum(legendre(3), 0, 1, 10**4, "direct", 3, sieve)
-    rep = ap_sum(legendre(3), 0, 1, 10**4, "predicted", 3, sieve)
+    d = ap_sum(legendre(3), 0, 1, 10**4, "direct", 3)
+    rep = ap_sum(legendre(3), 0, 1, 10**4, "predicted", 3)
     assert abs(rep.oracle - d) < 1e-12
     rels = []
     for x in (10**4, 10**5):
-        rep = ap_sum(legendre(3), 1, 4, x, "predicted", 3, sieve)
+        rep = ap_sum(legendre(3), 1, 4, x, "predicted", 3)
         rels.append(rep.abs_discrepancy / x)
     assert rels[1] <= rels[0]
     with pytest.raises(DomainError):
-        ap_sum(One(), 2, 4, 100, "predicted", 3, sieve)
+        ap_sum(One(), 2, 4, 100, "predicted", 3)
     with pytest.raises(DomainError):
-        ap_sum(One(), 1, 4, 100, "nonsense", 3, sieve)
+        ap_sum(One(), 1, 4, 100, "nonsense", 3)
 
 
 def test_s_f_chi_predict(sieve):
     chi06 = enumerate_characters(6)[0]
-    rep = s_f_chi_predict(One(), chi06, 1, 10**5, sieve)
+    rep = s_f_chi_predict(One(), chi06, 1, 10**5)
     coprime = sum(1 for n in range(1, 10**5 + 1) if math.gcd(n, 6) == 1)
     assert rep.oracle == coprime
     assert abs(rep.predicted - 10**5 / 3) / (10**5 / 3) < 2e-3
     # ell = 1, chi mod 1: degenerates to the partial-sum identity
     triv = enumerate_characters(1)[0]
-    rep = s_f_chi_predict(legendre(5), triv, 1, 10**4, sieve)
+    rep = s_f_chi_predict(legendre(5), triv, 1, 10**4)
     assert rep.abs_discrepancy / 10**4 < 1e-3
     # chi mod 10 induced by the quadratic character mod 5, ell = 2
     quad5 = legendre(5).chi
@@ -221,45 +221,45 @@ def test_s_f_chi_predict(sieve):
         for c in enumerate_characters(10)
         if c.primitive()[1] == 5 and c.primitive()[0].exponents == quad5.exponents
     )
-    rep = s_f_chi_predict(legendre(5), chi10, 2, 10**5, sieve)
+    rep = s_f_chi_predict(legendre(5), chi10, 2, 10**5)
     assert rep.rel_discrepancy < 1e-2
 
 
 def test_identity_41(sieve):
-    assert identity_41_residual(legendre(5), 2, 5, 3e-6, 10**4, sieve) < 1e-3
-    assert identity_41_residual(RandomSign(6), 1, 3, 1e-5, 10**4, sieve) < 1e-3
+    assert identity_41_residual(legendre(5), 2, 5, 3e-6, 10**4) < 1e-3
+    assert identity_41_residual(RandomSign(6), 1, 3, 1e-5, 10**4) < 1e-3
 
 
 def test_arc_decompose(sieve):
     # minor arc: M = 0 and E = R
-    split = arc_decompose_Rf(liouville(), (5**0.5 - 1) / 2, 10**4, sieve=sieve)
+    split = arc_decompose_Rf(liouville(), (5**0.5 - 1) / 2, 10**4)
     assert split.M == 0 and abs(split.E - split.R) < 1e-12
     # major arc for a character: M tracks R
-    split = arc_decompose_Rf(legendre(5), Fraction(1, 5), 10**4, sieve=sieve)
+    split = arc_decompose_Rf(legendre(5), Fraction(1, 5), 10**4)
     assert split.arc.regime == "major" and split.r_divides_q
     assert abs(split.M) > 0.5 * abs(split.R)
     assert abs(split.E) < 0.1 * abs(split.R)
     # alpha = 0 for f = 1: M at the x scale, E small
-    split = arc_decompose_Rf(One(), 0.0, 10**4, sieve=sieve)
+    split = arc_decompose_Rf(One(), 0.0, 10**4)
     assert abs(split.M - 10**4) < 1 and abs(split.E) < 1
 
 
 def test_parseval_exact(sieve):
     x = 2**14
-    rep = minor_arc_energy(One(), x, sieve=sieve)
+    rep = minor_arc_energy(One(), x)
     assert abs(rep.total_energy - rep.coefficient_energy) / rep.coefficient_energy < 1e-6
-    rep = minor_arc_energy(RandomSign(3), 2**12, sieve=sieve)
+    rep = minor_arc_energy(RandomSign(3), 2**12)
     assert abs(rep.total_energy - 2**12) / 2**12 < 1e-6
     with pytest.raises(DomainError):
-        minor_arc_energy(One(), 2**12, M=2**12, sieve=sieve)
+        minor_arc_energy(One(), 2**12, M=2**12)
 
 
 def test_grid_folding(sieve):
     f = RandomSign(11)
     x, M = 2000, 64
-    grid = exponential_sum_grid(f, x, M, sieve)
+    grid = exponential_sum_grid(f, x, M)
     for k in (0, 1, 17, 63):
-        assert abs(grid[k] - direct_sum(f, k / M, x, sieve)) < 1e-8
+        assert abs(grid[k] - direct_sum(f, k / M, x)) < 1e-8
 
 
 def test_theorem1_complex_frame_every_numerator():
@@ -310,16 +310,16 @@ def test_half_spectrum_energy_matches_full_grid(sieve, monkeypatch, spec, asymme
     symmetric under k -> M - k)."""
     f = parse_multfunc(spec)
     x = 1501  # R(1/2) != 0, so the bin M/2 of an even M carries weight
-    nonzero = int(np.count_nonzero(eval_range(f, x, sieve)))
+    nonzero = int(np.count_nonzero(eval_range(f, x)))
     for M in (None, 2 * x + 1, 2 * x + 2, 4 * x + 3):  # default, odd and even
         size = M if M is not None else int(next_fast_len(8 * (x + 1)))
         mask = _mark_major(size, x, 0.1)
         if asymmetric:
             mask = mask ^ (np.random.default_rng(size).random(size) < 0.1)
             monkeypatch.setattr(expsum, "_mark_major", lambda M_, x_, eps_: mask)
-        rep = minor_arc_energy(f, x, M, sieve=sieve)
+        rep = minor_arc_energy(f, x, M)
         assert rep.M == size
-        p2 = np.abs(exponential_sum_grid(f, x, size, sieve)) ** 2
+        p2 = np.abs(exponential_sum_grid(f, x, size)) ** 2
         want = (np.sum(p2) / size, np.sum(p2[mask]) / size, np.sum(p2[~mask]) / size)
         got = (rep.total_energy, rep.major_energy, rep.minor_energy)
         for g, w in zip(got, want):
@@ -333,14 +333,14 @@ def test_direct_sum_rational_exact_class_sums(sieve, spec):
     exact class-sum combination (well inside q 2^-52 sum |c|)."""
     f = parse_multfunc(spec)
     x = 30011
-    vals = eval_range(f, x, sieve)
+    vals = eval_range(f, x)
     for a, q in ((0, 1), (1, 2), (2, 5), (3, 7), (5, 12), (6, 13), (17, 101)):
         roots = np.exp(2j * np.pi * np.arange(q) / q)
         cls = [int(np.sum(vals[r::q], dtype=np.int64)) for r in range(q)]
         w = [roots[(r * a) % q] for r in range(q)]
         re = sum(Fraction(c) * Fraction(float(z.real)) for c, z in zip(cls, w))
         im = sum(Fraction(c) * Fraction(float(z.imag)) for c, z in zip(cls, w))
-        got = direct_sum_rational(f, a, q, 0.0, x, sieve)
+        got = direct_sum_rational(f, a, q, 0.0, x)
         tol = q * 2.0**-52 * sum(abs(c) for c in cls)
         assert abs(got.real - float(re)) <= tol and abs(got.imag - float(im)) <= tol
         assert got == complex(float(re), float(im))
@@ -360,26 +360,26 @@ def test_exact_dot_large_counts():
 
 
 def test_energy_behavior(sieve):
-    lam = minor_arc_energy(liouville(), 2**12, sieve=sieve)
-    one = minor_arc_energy(One(), 2**12, sieve=sieve)
+    lam = minor_arc_energy(liouville(), 2**12)
+    one = minor_arc_energy(One(), 2**12)
     assert lam.minor_ratio > 0.5
     assert one.minor_ratio < 0.05
 
 
 def test_bound_report(sieve):
-    rep = bound_report(One(), 0.5, 10**4, sieve=sieve)
+    rep = bound_report(One(), 0.5, 10**4)
     assert rep.absR <= 1 + 1e-9
     assert rep.ratios["folklore"] < 0.01
-    rep = bound_report(legendre(5), Fraction(1, 5), 10**5, sieve=sieve)
+    rep = bound_report(legendre(5), Fraction(1, 5), 10**5)
     assert rep.ratios["refined"] < 1.2  # x/sqrt(q(1+|beta|x)) scale
-    rep = bound_report(RandomSign(5), 0.37, 10**4, sieve=sieve)
+    rep = bound_report(RandomSign(5), 0.37, 10**4)
     assert rep.ratios["general"] < 1.0
 
 
 def test_pls_tail_decay(sieve):
     """Mass outside the top frames shrinks relative to x^2."""
     for f, q in ((legendre(5), 5), (One(), 12)):
-        vals = [pls_tail(f, 10**k, q, 3, sieve) / 10 ** (2 * k) for k in (4, 5)]
+        vals = [pls_tail(f, 10**k, q, 3) / 10 ** (2 * k) for k in (4, 5)]
         assert vals[1] <= vals[0]
 
 
@@ -392,7 +392,7 @@ def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
     x = 2000
     for f in (liouville(), RandomSign(3), ProductMF((RandomSign(5), ArchTwist(0.7)))):
         kappa = KappaFunction(f, psi, t)
-        v = eval_range(twist(f, psi, t), x, sieve)
+        v = eval_range(twist(f, psi, t), x)
         gauss = psi.conjugate()(1) * psi.gauss_sum()
         for p in sieve.primes_upto(x).tolist():
             if p == 7:
@@ -400,7 +400,7 @@ def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
             fj, psip = complex(v[p]), psi(p)
             assert kappa.at_prime_power(p, 1) == psip * (fj - 1), (f.label, p)
             assert kappa.at_prime_power(p, 2) == psip**2 * (fj**2 - fj), (f.label, p)
-            coeff = theorem1_coefficient(kappa, 1, 7 * p, sieve)
+            coeff = theorem1_coefficient(kappa, 1, 7 * p)
             assert coeff == gauss * (psip * (fj - 1)), (f.label, p)
 
 

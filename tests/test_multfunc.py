@@ -36,38 +36,36 @@ from pretsums.multfunc import (
 )
 from pretsums import multfunc
 from pretsums import sieve as sieve_module
-from pretsums.sieve import SieveTable, divisors, ensure_sieve
+from pretsums.sieve import divisors, factor, get_sieve
 
 
 def test_eval_basic(sieve):
-    assert eval_at(liouville(), 12, sieve) == -1
-    assert eval_at(One(), 97, sieve) == 1
-    v = eval_at(ArchTwist(1.0), 8, sieve)
+    assert eval_at(liouville(), 12) == -1
+    assert eval_at(One(), 97) == 1
+    v = eval_at(ArchTwist(1.0), 8)
     assert abs(v - cmath.exp(1j * math.log(8))) < 1e-12
     assert abs(abs(v) - 1.0) < 1e-12
 
 
-def test_eval_domain_errors(sieve_small):
+def test_eval_domain_errors():
     with pytest.raises(DomainError):
-        eval_at(One(), 0, sieve_small)
-    with pytest.raises(DomainError):
-        eval_at(One(), sieve_small.limit + 1, sieve_small)
+        eval_at(One(), 0)
 
 
 def test_eval_range_examples(sieve):
-    assert list(eval_range(One(), 5, sieve)[1:]) == [1, 1, 1, 1, 1]
-    r = eval_range(legendre(3), 4, sieve)
+    assert list(eval_range(One(), 5)[1:]) == [1, 1, 1, 1, 1]
+    r = eval_range(legendre(3), 4)
     assert r.dtype == np.int8
     assert list(r[1:]) == [1, -1, 0, 1]
-    assert list(eval_range(One(), 1, sieve)[1:]) == [1]
-    assert len(eval_range(One(), 0, sieve)) == 1  # no valid indices
+    assert list(eval_range(One(), 1)[1:]) == [1]
+    assert len(eval_range(One(), 0)) == 1  # no valid indices
 
 
 def test_eval_range_matches_pointwise(sieve):
     for f in (legendre(7), RandomSign(3), ArchTwist(0.7), Indicator(ResidueRule(4, (1,)))):
-        r = eval_range(f, 300, sieve)
+        r = eval_range(f, 300)
         for n in (1, 2, 17, 90, 128, 300):
-            assert abs(complex(r[n]) - complex(eval_at(f, n, sieve))) < 1e-12
+            assert abs(complex(r[n]) - complex(eval_at(f, n))) < 1e-12
 
 
 @pytest.mark.parametrize("f", [legendre(7), ArchTwist(0.7)])
@@ -77,12 +75,12 @@ def test_eval_range_prefix_of_cached_range(sieve, monkeypatch, f):
     entry), a complex array evaluated afresh (nit:0.7 at 5000 rounds one
     value of its prefix differently)."""
     monkeypatch.setattr(multfunc, "_RANGE_CACHE", {})
-    eval_range(f, 5000, sieve)
-    short = eval_range(f, 300, sieve)
+    eval_range(f, 5000)
+    short = eval_range(f, 300)
     assert len(short) == 301 and not short.flags.writeable
     assert len(multfunc._RANGE_CACHE) == (1 if f.exact_int else 2)
     multfunc._RANGE_CACHE.clear()
-    fresh = eval_range(f, 300, sieve)
+    fresh = eval_range(f, 300)
     assert short.dtype == fresh.dtype == (np.int8 if f.exact_int else np.complex128)
     assert np.array_equal(short, fresh)
 
@@ -95,20 +93,17 @@ def test_eval_range_prefix_of_cached_range(sieve, monkeypatch, f):
 def test_multiplicativity_fuzz(m, n, seed):
     if math.gcd(m, n) != 1:
         return
-    from pretsums.sieve import get_sieve
-
-    s = get_sieve(10**6)
     f = RandomSign(seed)
-    vals = eval_range(f, 250000, s)
+    vals = eval_range(f, 250000)
     assert vals[m * n] == vals[m] * vals[n]
     g = ArchTwist(1.3)
-    gv = eval_range(g, 250000, s)
+    gv = eval_range(g, 250000)
     assert abs(gv[m * n] - gv[m] * gv[n]) < 1e-12
 
 
 def test_unit_disc_bound(sieve):
     for f in (RandomSign(9), ArchTwist(2.0), legendre(11)):
-        vals = eval_range(f, 5000, sieve)
+        vals = eval_range(f, 5000)
         assert float(np.max(np.abs(vals.astype(np.complex128)))) <= 1 + 1e-12
 
 
@@ -118,7 +113,7 @@ def test_twist_identity_and_cancellation(sieve):
     # f = chi: twisting by chi gives |chi|^2 with values in {0, 1}
     chi5 = legendre(5).chi
     tw = twist(legendre(5), chi5, 0.0)
-    vals = eval_range(tw, 100, sieve)
+    vals = eval_range(tw, 100)
     assert set(np.round(np.asarray(vals, dtype=np.complex128).real).astype(int).tolist()) <= {0, 1}
     # f(p) = psi(p) p^{it} exactly: the twist is 1 away from the conductor
     t = 0.4
@@ -135,9 +130,9 @@ def test_twist_identity_and_cancellation(sieve):
 def test_split_small_large(sieve):
     chi5 = legendre(5).chi
     sp = split_small_large(liouville(), chi5, 0.3, 10.0)
-    a = eval_range(sp.F_s, 3000, sieve)
-    b = eval_range(sp.F_l, 3000, sieve)
-    c = eval_range(liouville(), 3000, sieve)
+    a = eval_range(sp.F_s, 3000)
+    b = eval_range(sp.F_l, 3000)
+    c = eval_range(liouville(), 3000)
     assert float(np.max(np.abs(a * b - c))) < 1e-12
     # F_l is 1 below z on primes
     for p in (2, 3, 5, 7):
@@ -154,9 +149,9 @@ def test_split_small_large(sieve):
 def test_structure_split(sieve):
     f = liouville()
     fs, fl = structure_split(f, 0.5, 7.0)
-    a = eval_range(fs, 2000, sieve)
-    b = eval_range(fl, 2000, sieve)
-    assert float(np.max(np.abs(a * b - eval_range(f, 2000, sieve)))) < 1e-12
+    a = eval_range(fs, 2000)
+    b = eval_range(fl, 2000)
+    assert float(np.max(np.abs(a * b - eval_range(f, 2000)))) < 1e-12
     # t = 0 degenerates to a plain cut at z
     fs0, _ = structure_split(f, 0.0, 7.0)
     assert fs0.prime_value(5) == -1 and fs0.prime_value(11) == 1
@@ -191,12 +186,12 @@ def test_kappa_convolution_identity(sieve, f, psi_q, t):
     else:
         psi = [c.primitive()[0] for c in enumerate_characters(8) if not c.is_principal][0]
     kap = KappaFunction(fn, psi, t)
-    fv = eval_range(fn, 1000, sieve).astype(np.complex128)
+    fv = eval_range(fn, 1000).astype(np.complex128)
     worst = 0.0
     for n in range(1, 1001):
         tot = 0
-        for d in divisors(n, sieve):
-            tot += kap.eval(d, sieve) * psi(n // d)
+        for d in divisors(n):
+            tot += kap.eval(d) * psi(n // d)
         lhs = fv[n] * cmath.exp(-1j * t * math.log(n)) if t else fv[n]
         worst = max(worst, abs(tot - lhs))
     assert worst < 1e-9
@@ -204,10 +199,10 @@ def test_kappa_convolution_identity(sieve, f, psi_q, t):
 
 def test_kappa_examples(sieve):
     kap = KappaFunction(One(), DirichletCharacter(1, ()), 0.0)
-    assert kap.eval(1, sieve) == 1
+    assert kap.eval(1) == 1
     # f = 1, psi principal: kappa(p) = f(p) - 1 = 0, so kappa(m) = 0 for m > 1
     for m in (2, 3, 4, 6, 100):
-        assert abs(kap.eval(m, sieve)) < 1e-15
+        assert abs(kap.eval(m)) < 1e-15
     # f(p) = psi(p) p^{it}: kappa vanishes off the conductor
     chi5 = legendre(5).chi
     items = tuple((int(p), complex(chi5(int(p)))) for p in sieve.primes_upto(50).tolist())
@@ -218,28 +213,28 @@ def test_kappa_examples(sieve):
 
 
 def test_k_factor(sieve):
-    assert k_factor(One(), 1, sieve) == 1
-    assert abs(k_factor(One(), 6, sieve) - (1 - 1 / 2) * (1 - 1 / 3)) < 1e-15
+    assert k_factor(One(), 1) == 1
+    assert abs(k_factor(One(), 6) - (1 - 1 / 2) * (1 - 1 / 3)) < 1e-15
     f2 = PrimeTable(((2, -1),))
-    assert abs(k_factor(f2, 4, sieve) - 1.5) < 1e-15
+    assert abs(k_factor(f2, 4) - 1.5) < 1e-15
     # k and kappa agree with direct products over p | m
     f = RandomSign(5)
     for m in (2, 12, 360, 9973, 10000):
         direct = 1.0
         for p, _ in sieve.factor(m):
             direct *= 1 - f.prime_value(p) / p
-        assert abs(k_factor(f, m, sieve) - direct) < 1e-12
+        assert abs(k_factor(f, m) - direct) < 1e-12
 
 
 def test_mean_value(sieve):
-    assert mean_value(One(), 100, None, sieve) == 100
-    assert mean_value(One(), 0, None, sieve) == 0
+    assert mean_value(One(), 100, None) == 100
+    assert mean_value(One(), 0, None) == 0
     chi3 = [c for c in enumerate_characters(3) if not c.is_principal][0]
-    assert abs(mean_value(One(), 300, chi3, sieve)) < 1e-12
+    assert abs(mean_value(One(), 300, chi3)) < 1e-12
     # brute-force oracle
     leg5 = legendre(5)
-    direct = sum(eval_at(leg5, n, sieve) for n in range(1, 10**4 + 1))
-    assert mean_value(leg5, 10**4, None, sieve) == direct
+    direct = sum(eval_at(leg5, n) for n in range(1, 10**4 + 1))
+    assert mean_value(leg5, 10**4, None) == direct
 
 
 def test_prime_table_rules():
@@ -318,7 +313,7 @@ def test_prime_value_of_every_kind_and_rule(sieve, name):
         else:
             assert type(v) is complex and abs(v - want(p)) < 1e-14, (name, p, v)
     if f.exact_int:
-        assert eval_at(f, 2 * 3 * 3 * 101, sieve) == want(2) * want(3) ** 2 * want(101)
+        assert eval_at(f, 2 * 3 * 3 * 101) == want(2) * want(3) ** 2 * want(101)
 
 
 def test_constructors_reject_undefined_inputs():
@@ -335,8 +330,8 @@ def test_constructors_reject_undefined_inputs():
 
 def test_random_sign_stable_across_ranges(sieve):
     f = RandomSign(77)
-    small = eval_range(f, 1000, sieve)
-    big = eval_range(f, 50000, sieve)
+    small = eval_range(f, 1000)
+    big = eval_range(f, 50000)
     assert np.array_equal(small, big[:1001])
 
 
@@ -344,22 +339,22 @@ def test_adaptive_extremal_builder(sieve):
     """The aligned-phase construction drives R_f to the x/log x scale."""
     x = 10**4
     alpha = 2**0.5 - 1
-    f = build_adaptive_extremal(One(), alpha, x, sieve)
-    vals = eval_range(f, x, sieve).astype(np.complex128)
+    f = build_adaptive_extremal(One(), alpha, x)
+    vals = eval_range(f, x).astype(np.complex128)
     n = np.arange(x + 1)
     R = np.sum(vals * np.exp(2j * np.pi * alpha * n))
     assert abs(R) > 0.3 * x / math.log(x)
     assert float(np.max(np.abs(vals))) <= 1 + 1e-9
 
 
-def test_ensure_sieve(sieve_small, monkeypatch):
-    small = SieveTable(100, sieve_small.spf[:101])
-    assert ensure_sieve(small, 100) is small
-    assert ensure_sieve(small, 50.5) is small
-    assert ensure_sieve(small, 5000).limit >= 5000
-    asked = []
-    monkeypatch.setattr(sieve_module, "get_sieve", lambda n: asked.append(n) or sieve_small)
-    for x in (100.5, 101, 5000):
-        assert ensure_sieve(small, x) is sieve_small
-    assert ensure_sieve(None, 0) is sieve_small
-    assert asked == [100, 101, 5000, 2]
+def test_get_sieve_and_factor(monkeypatch):
+    for n in (1, 100, 5000, 10**5 + 3):
+        assert get_sieve(n).limit >= n
+    big = get_sieve(10**5)
+    assert get_sieve(10) is big and get_sieve(10**5) is big
+    assert factor(1) == []
+    assert factor(360) == [(2, 3), (3, 2), (5, 1)]
+    # an over-large request is refused before anything is allocated
+    monkeypatch.setattr(sieve_module, "_build_spf", lambda n: pytest.fail(f"allocated {n}"))
+    with pytest.raises(DomainError):
+        get_sieve(2**30 + 1)
