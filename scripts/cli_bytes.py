@@ -9,7 +9,8 @@ checkout holding this script.  One line per run goes to stdout:
 
 The corpus is README's CLI lines (read from README.md), the argv of
 tests/test_cli.py, complex-valued f, local-factor problems, moduli on both
-sides of the character-ranking window, and inputs the CLI rejects.  Argv
+sides of the character-ranking window, characters whose conductor, primitive
+character or local factors the run reads, and inputs the CLI rejects.  Argv
 that exit 1 or 2 are part of the corpus; the script itself exits 0.  No
 golden hashes are kept: diff the output of two checkouts.
 
@@ -104,6 +105,17 @@ RANKING_WINDOW = [
     "pretend f=one x=5000 q=2003",
 ]
 
+# characters mod 2^e and composite moduli: conductors, primitive characters,
+# local factors of charshift, the principality gate, a 2002-character ranking
+CHARACTERS = [
+    "pretend f=char:24:1,1,1 x=20000 q=24",
+    "pretend f=randpm:5*char:40:1,0,2 x=20000 q=40",
+    "expsum predict f=char:16:1,3 alpha=3/16 x=20000",
+    "twisted f=legendre:7 h=charshift:1,1:5 q=12 x=20000",
+    "partition f=char:8:1,1 g=char:8:1,1 h=one N=3001",
+    "pretend f=one x=20000 q=2003",
+]
+
 
 def readme_argv() -> list[str]:
     """The `pretsums ...` lines of README's CLI block, as CI extracts them."""
@@ -139,7 +151,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     runs = 0
-    for line in readme_argv() + TEST_CLI + COMPLEX_F + LOCAL_FACTOR + RANKING_WINDOW:
+    for line in readme_argv() + TEST_CLI + COMPLEX_F + LOCAL_FACTOR + RANKING_WINDOW + CHARACTERS:
         for fmt in ("json", "csv"):
             argv = without_format(line.split()) + ["--format", fmt]
             cmd = [sys.executable, "-m", "pretsums.cli", *argv]

@@ -1,26 +1,31 @@
 """Dirichlet characters mod q, conductors, Gauss sums, and periodic functions.
 
-Characters are represented by exponent tuples against a fixed generator basis:
-one cyclic component per odd prime power, and the pair (-1, 5) for 2^e with
-e >= 3.  The exponent tuple in this basis is also the CLI index, so runs are
-reproducible.  Generators for odd p are chosen as the least primitive root
-mod p that stays primitive mod p^2 (hence primitive for every power), which
-keeps the inducing-character maps a pure exponent rescaling.
+A character is an exponent tuple against a fixed generator list, one cyclic
+component per generator: the least primitive root mod p that stays primitive
+mod p^2 (hence for every power) for odd p^e, -1 for 4 | q, and 5 as well for
+8 | q.  The exponent tuple is also the CLI index, so runs are reproducible.
+Every value is read from one integer index: chi(n) = e(k(n)/L) on units, L the
+exponent of the group, and k = -1 off units.
+
+The conductor is prod_p p^{c_p}, c_p the largest v_p(o) + level over the
+components at p on which chi has order o > 1 (level 2 for the generator 5,
+else 1).  `restrict(m)`, for m | q, reads the exponent at each generator g of
+(Z/m)* off k(n) with n = g modulo the p-part of q and n = 1 modulo the rest:
+the primitive character is restrict(conductor), and restrict(p^e) is the
+local factor at p^e || q.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cache, cached_property
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import DomainError
 from .sieve import euler_phi, factor
-
-TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +33,7 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def _generator(p: int) -> int:
     """Least g that generates both (Z/p)* and (Z/p^2)*."""
     phi_p = p - 1
@@ -47,150 +52,72 @@ def _generator(p: int) -> int:
 @dataclass(frozen=True)
 class _Component:
     prime: int
-    power: int  # e in p^e
     modulus: int  # p^e
     order: int
-    kind: str  # "odd", "four", "sign", "five"
+    gen: int  # the primitive root for odd p, -1 for the sign, 5 for 2^e with e >= 3
+    level: int = 1  # c_p = v_p(order of chi on it) + level: 2 for the 5-factor
 
 
 class CharacterGroup:
-    """Unit-group structure mod q plus cached dlog and value tables."""
+    """Unit-group structure mod q: generators, dlog tables and roots of unity."""
 
     def __init__(self, q: int):
         if q < 1:
             raise DomainError(f"character group modulus must be >= 1, got {q}")
         self.q = q
-        self.phi = euler_phi(q)
         comps: list[_Component] = []
         for p, e in factor(q):
             pe = p**e
-            if p == 2:
-                if e == 2:
-                    comps.append(_Component(2, e, 4, 2, "four"))
-                elif e >= 3:
-                    comps.append(_Component(2, e, pe, 2, "sign"))
-                    comps.append(_Component(2, e, pe, 2 ** (e - 2), "five"))
-                # e == 1: trivial unit group, no component
-            else:
-                comps.append(_Component(p, e, pe, (p - 1) * p ** (e - 1), "odd"))
+            if p != 2:
+                comps.append(_Component(p, pe, (p - 1) * p ** (e - 1), _generator(p)))
+            elif e >= 2:
+                comps.append(_Component(2, pe, 2, -1))
+                if e >= 3:
+                    comps.append(_Component(2, pe, 2 ** (e - 2), 5, level=2))
         self.components = tuple(comps)
-        self.exponent = lcm(*(c.order for c in comps)) if comps else 1
-        self._dlogs: list[np.ndarray] | None = None
-        self._value_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._int_cache: dict[tuple[int, ...], np.ndarray | None] = {}
-        self._gauss_cache: dict[tuple[int, ...], complex] = {}
+        self.exponent = lcm(*(c.order for c in comps))
 
-    # -- discrete logs ------------------------------------------------------
-
-    def _build_dlogs(self) -> list[np.ndarray]:
+    @cached_property
+    def dlogs(self) -> list[np.ndarray]:
+        """Per component, the exponent of its generator in each residue mod
+        its modulus (-1 off units); mod 2^e a unit is (-1)^s 5^b."""
         tables = []
-        done_mod: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for c in self.components:
-            if c.kind == "odd":
-                dl = np.full(c.modulus, -1, dtype=np.int64)
-                g, x = _generator(c.prime), 1
+            dl = np.full(c.modulus, -1, dtype=np.int64)
+            if c.gen == -1:
+                dl[1::4], dl[3::4] = 0, 1
+            else:
+                x = 1
                 for k in range(c.order):
                     dl[x] = k
-                    x = (x * g) % c.modulus
-                tables.append(dl)
-            elif c.kind == "four":
-                dl = np.full(4, -1, dtype=np.int64)
-                dl[1], dl[3] = 0, 1
-                tables.append(dl)
-            else:
-                # 2^e, e >= 3: n = (-1)^s 5^b; build both coordinates once
-                if c.modulus not in done_mod:
-                    m = c.modulus
-                    sign = np.full(m, -1, dtype=np.int64)
-                    five = np.full(m, -1, dtype=np.int64)
-                    x = 1
-                    for b in range(m // 4):
-                        sign[x], five[x] = 0, b
-                        sign[m - x], five[m - x] = 1, b
-                        x = (x * 5) % m
-                    done_mod[m] = (sign, five)
-                tables.append(done_mod[c.modulus][0 if c.kind == "sign" else 1])
+                    if c.prime == 2:
+                        dl[c.modulus - x] = k
+                    x = (x * c.gen) % c.modulus
+            tables.append(dl)
         return tables
 
-    @property
-    def dlogs(self) -> list[np.ndarray]:
-        if self._dlogs is None:
-            self._dlogs = self._build_dlogs()
-        return self._dlogs
+    @cached_property
+    def nonunits(self) -> np.ndarray:
+        return np.gcd(np.arange(self.q), self.q) != 1
 
-    # -- value tables ---------------------------------------------------------
-
-    def value_table(self, exponents: tuple[int, ...]) -> np.ndarray:
-        """chi(n) for n = 0..q-1 as complex128."""
-        if exponents in self._value_cache:
-            return self._value_cache[exponents]
-        q, L = self.q, self.exponent
-        if q == 1:
-            tab = np.ones(1, dtype=np.complex128)
-        else:
-            idx = np.arange(q)
-            num = np.zeros(q, dtype=np.int64)
-            units = np.ones(q, dtype=bool)
-            for a, comp, dl in zip(exponents, self.components, self.dlogs):
-                k = dl[idx % comp.modulus]
-                units &= k >= 0
-                num += (a * (L // comp.order)) * np.where(k >= 0, k, 0)
-            num %= L
-            if q % 2 == 0:
-                units[idx % 2 == 0] = False
-            roots = np.exp(2j * np.pi * np.arange(L) / L)
-            roots[0] = 1.0
-            if L % 2 == 0:
-                roots[L // 2] = -1.0
-            if L % 4 == 0:
-                roots[L // 4] = 1j
-                roots[3 * L // 4] = -1j
-            tab = np.where(units, roots[num], 0.0)
-        self._value_cache[exponents] = tab
-        return tab
-
-    def int_table(self, exponents: tuple[int, ...]) -> np.ndarray | None:
-        """Exact int8 table when the character is real, else None."""
-        if exponents in self._int_cache:
-            return self._int_cache[exponents]
-        out: np.ndarray | None = None
-        if self.char_order(exponents) <= 2:
-            tab = self.value_table(exponents)
-            out = np.rint(tab.real).astype(np.int8)
-        self._int_cache[exponents] = out
-        return out
-
-    def char_order(self, exponents: tuple[int, ...]) -> int:
-        o = 1
-        for a, comp in zip(exponents, self.components):
-            o = lcm(o, comp.order // gcd(a, comp.order))
-        return o
-
-    def prime_part_character(self, exponents: tuple[int, ...], pe: int) -> "DirichletCharacter":
-        """The character mod p^e carrying this character's components at p.
-
-        q must factor as pe * (coprime part); the returned character is the
-        local factor chi_p in chi = prod_p chi_p.
-        """
-        sub = character_group(pe)
-        exps = []
-        for c2 in sub.components:
-            i = next(
-                j
-                for j, c in enumerate(self.components)
-                if c.modulus == c2.modulus and c.kind == c2.kind
-            )
-            exps.append(exponents[i])
-        return DirichletCharacter(pe, tuple(exps))
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """e(k/L) for k = 0..L-1, exact at 1, -1, i and -i."""
+        L = self.exponent
+        roots = np.exp(2j * np.pi * np.arange(L) / L)
+        roots[0] = 1.0
+        if L % 2 == 0:
+            roots[L // 2] = -1.0
+        if L % 4 == 0:
+            roots[L // 4] = 1j
+            roots[3 * L // 4] = -1j
+        roots.flags.writeable = False
+        return roots
 
 
-_GROUPS: dict[int, CharacterGroup] = {}
-
-
+@cache
 def character_group(q: int) -> CharacterGroup:
-    if q not in _GROUPS:
-        _GROUPS[q] = CharacterGroup(q)
-    return _GROUPS[q]
+    return CharacterGroup(q)
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +146,63 @@ class DirichletCharacter:
     def group(self) -> CharacterGroup:
         return character_group(self.q)
 
+    def index(self, n: int) -> int:
+        """k(n): chi(n) = e(k/L) when gcd(n, q) = 1, else -1."""
+        if gcd(n, self.q) != 1:
+            return -1
+        grp = self.group
+        k = 0
+        for a, c, dl in zip(self.exponents, grp.components, grp.dlogs):
+            k += a * (grp.exponent // c.order) * dl.item(n % c.modulus)
+        return k % grp.exponent
+
+    def indices(self) -> np.ndarray:
+        """k(n) for n = 0..q-1."""
+        grp = self.group
+        n = np.arange(self.q)
+        k = np.zeros(self.q, dtype=np.int64)
+        for a, c, dl in zip(self.exponents, grp.components, grp.dlogs):
+            k += a * (grp.exponent // c.order) * dl[n % c.modulus]
+        k %= grp.exponent
+        k[grp.nonunits] = -1
+        return k
+
     def __call__(self, n: int) -> complex:
-        tab = self.group.int_table(self.exponents)
-        if tab is not None:
-            return int(tab[n % self.q])
-        return complex(self.group.value_table(self.exponents)[n % self.q])
+        k = self.index(n)
+        if self.order <= 2:
+            return 0 if k < 0 else (1 if k == 0 else -1)
+        return 0j if k < 0 else self.group.roots.item(k)
 
     def values(self) -> np.ndarray:
-        return self.group.value_table(self.exponents)
+        """chi(n) for n = 0..q-1 as read-only complex128."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        k = self.indices()
+        tab = self.group.roots[k]
+        tab[k < 0] = 0
+        tab.flags.writeable = False
+        return tab
 
     def values_exact(self) -> np.ndarray | None:
-        return self.group.int_table(self.exponents)
+        """Read-only int8 table when the character is real, else None."""
+        return self._values_exact if self.order <= 2 else None
+
+    @cached_property
+    def _values_exact(self) -> np.ndarray:
+        k = self.indices()
+        tab = (k == 0).astype(np.int8) - (k > 0)  # 1 at k = 0, -1 at k = L/2, 0 off units
+        tab.flags.writeable = False
+        return tab
 
     @property
     def is_principal(self) -> bool:
         return all(a == 0 for a in self.exponents)
 
-    @property
+    @cached_property
     def order(self) -> int:
-        return self.group.char_order(self.exponents)
+        return lcm(*(c.order // gcd(a, c.order) for a, c in zip(self.exponents, self.group.components)))
 
     @property
     def is_real(self) -> bool:
@@ -248,67 +213,46 @@ class DirichletCharacter:
         exps = tuple((-a) % c.order for a, c in zip(self.exponents, comps))
         return DirichletCharacter(self.q, exps)
 
-    # -- conductor / primitive -------------------------------------------------
+    # -- conductor / restriction ------------------------------------------------
+
+    def _conductor_exponents(self) -> dict[int, int]:
+        """p -> c_p, the largest v_p(o) + level over the components at p on
+        which chi has order o > 1."""
+        c_p: dict[int, int] = {}
+        for a, c in zip(self.exponents, self.group.components):
+            o = c.order // gcd(a, c.order)
+            if o > 1:
+                v = 0
+                while o % c.prime == 0:
+                    o //= c.prime
+                    v += 1
+                c_p[c.prime] = max(c_p.get(c.prime, 0), v + c.level)
+        return c_p
 
     def conductor(self) -> int:
-        r = 1
-        comps = self.group.components
-        exps = self.exponents
-        i = 0
-        while i < len(comps):
-            c = comps[i]
-            if c.kind == "sign":
-                a0, a1 = exps[i], exps[i + 1]
-                if a1 % comps[i + 1].order != 0:
-                    o1 = comps[i + 1].order // gcd(a1, comps[i + 1].order)
-                    r *= 4 * o1
-                elif a0 % 2 != 0:
-                    r *= 4
-                i += 2
-                continue
-            a = exps[i] % c.order
-            if a != 0:
-                if c.kind == "four":
-                    r *= 4
-                else:
-                    o = c.order // gcd(a, c.order)
-                    v = 0
-                    while o % c.prime == 0:
-                        o //= c.prime
-                        v += 1
-                    r *= c.prime ** (v + 1)
-            i += 1
-        return r
+        return prod(p**c for p, c in self._conductor_exponents().items())
+
+    def restrict(self, m: int) -> "DirichletCharacter":
+        """The character mod m | q carrying chi's factors at the primes of m,
+        each of which must be defined mod the p-part of m (as for m = the
+        conductor, or m = p^e || q)."""
+        c_p = self._conductor_exponents()
+        if m < 1 or self.q % m or any(m % p == 0 and m % p**c for p, c in c_p.items()):
+            raise DomainError(f"character mod {self.q} does not restrict to modulus {m}")
+        L = self.group.exponent
+        parts = {p: p**e for p, e in factor(self.q)}
+        exps = []
+        for c in character_group(m).components:
+            pe = parts[c.prime]
+            rest = self.q // pe
+            n = 1 + rest * ((c.gen - 1) * pow(rest, -1, pe) % pe)
+            exps.append(self.index(n) * c.order // L)
+        return DirichletCharacter(m, tuple(exps))
 
     def primitive(self) -> tuple["DirichletCharacter", int]:
         """The primitive character inducing this one, with its modulus."""
         r = self.conductor()
-        if r == 1:
-            return DirichletCharacter(1, ()), 1
-        sub = character_group(r)
-        comps = self.group.components
-        exps = self.exponents
-        new_exps = []
-        for c2 in sub.components:
-            if c2.prime == 2 and c2.kind in ("sign", "five"):
-                i = next(j for j, c in enumerate(comps) if c.prime == 2 and c.kind == c2.kind)
-                a = exps[i]
-                if c2.kind == "sign":
-                    new_exps.append(a % 2)
-                else:
-                    src_order = comps[i].order
-                    new_exps.append((a * c2.order) // src_order)
-            elif c2.kind == "four":
-                # conductor 4 part: either from a mod-4 component or the sign of 2^e
-                i = next(
-                    j for j, c in enumerate(comps) if c.prime == 2 and c.kind in ("four", "sign")
-                )
-                new_exps.append(exps[i] % 2)
-            else:
-                i = next(j for j, c in enumerate(comps) if c.prime == c2.prime)
-                a = exps[i] % comps[i].order
-                new_exps.append((a * c2.order) // comps[i].order)
-        return DirichletCharacter(r, tuple(new_exps)), r
+        return self.restrict(r), r
 
     @property
     def is_primitive(self) -> bool:
@@ -317,10 +261,11 @@ class DirichletCharacter:
     # -- sums -------------------------------------------------------------------
 
     def gauss_sum(self) -> complex:
-        cache = self.group._gauss_cache
-        if self.exponents not in cache:
-            cache[self.exponents] = gauss_sum(self)
-        return cache[self.exponents]
+        return self._gauss_sum
+
+    @cached_property
+    def _gauss_sum(self) -> complex:
+        return gauss_sum(self)
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -337,8 +282,6 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """g(chi) = sum over a mod q of chi(a) e(a/q); equals 1 at q = 1."""
     q = chi.q
-    if q == 1:
-        return 1.0 + 0.0j
     vals = chi.values()
     m = np.arange(q)
     return complex(np.sum(vals * np.exp(2j * np.pi * m / q)))
@@ -486,10 +429,9 @@ def periodic_char_shift(chi: DirichletCharacter, shift: int) -> PeriodicFunction
     n = np.arange(q)
     tab = chi.values()[(n + shift) % q]
     factors = {}
-    grp = chi.group
     for p, e in factor(q):
         pe = p**e
-        local = grp.prime_part_character(chi.exponents, pe)
+        local = chi.restrict(pe)
         u = np.arange(pe)
         factors[pe] = local.values()[(u + shift) % pe]
     return PeriodicFunction(q, tab, weil_md=1, factors=factors, label="charshift")
@@ -548,8 +490,7 @@ def pseudo_gauss_dagger(h: PeriodicFunction, m: int, psi: DirichletCharacter) ->
         raise DomainError(f"pseudo_gauss_dagger requires m | q, got m={m}, q={q}")
     s = q // m
     b = np.arange(1, m + 1)
-    mask = np.array([gcd(int(x), m) == 1 for x in b])
-    b = b[mask]
+    b = b[np.gcd(b, m) == 1]
     pv = psi.values()[b % psi.q]
     hv = h.table[(b * s) % q]
     return complex(np.sum(pv * hv))
@@ -585,23 +526,16 @@ def weil_bound_check(h: PeriodicFunction) -> WeilReport:
     md = h.weil_md
     rows = []
     ok = True
-    omega = 0
     for pe, tab in sorted(factors.items()):
         hp = PeriodicFunction(pe, tab)
         if hp.minimal_period() != pe:
             raise DomainError(f"factor mod {pe} does not have minimal period {pe}")
-        p = factor(pe)[0][0]
-        e = 0
-        t = pe
-        while t > 1:
-            t //= p
-            e += 1
+        [(p, e)] = factor(pe)
         s = abs(complex(np.sum(tab)))
         bound = md * pe**0.5
         rows.append((p, e, s, bound, s <= bound + 1e-9))
         ok &= s <= bound + 1e-9
-        omega += 1
     total = abs(complex(np.sum(h.table)))
-    total_bound = (md**omega) * q**0.5 if omega else float(q)
+    total_bound = (md ** len(factors)) * q**0.5
     ok &= total <= total_bound + 1e-9
     return WeilReport(q, md, rows, total, total_bound, ok)

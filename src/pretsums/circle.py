@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -175,6 +174,18 @@ def smallest_cap_exponent(p: int, z: float) -> int:
     while p**e <= z * z:
         e += 1
     return e
+
+
+def _check_residue_tables(z: float) -> None:
+    """Raise unless the residue table mod p^e, e = smallest_cap_exponent(p, z),
+    stays within 2^20 entries for every prime p <= z.  A prime p <= z has
+    e >= 3 and 103^3 > 2^20, so the primes up to 103 decide."""
+    if not math.isfinite(z * z):
+        raise DomainError(f"z = {z} is out of range")
+    for p in get_sieve(103).primes_upto(min(z, 103)).tolist():
+        e = smallest_cap_exponent(p, z)
+        if p**e > 1 << 20:
+            raise DomainError(f"z = {z} needs a residue table mod p^e = {p}^{e} = {p**e}, above 2^20 entries")
 
 
 def _capped_valuations(p: int, e: int) -> np.ndarray:
@@ -414,17 +425,14 @@ def archimedean_E(
 
 
 def _product_principal(psis: list[DirichletCharacter]) -> bool:
-    L = 1
-    for psi in psis:
-        L = L * psi.q // gcd(L, psi.q)
-    n = np.arange(L)
-    vals = np.ones(L, dtype=np.complex128)
-    for psi in psis:
-        vals = vals * psi.values()[n % psi.q]
-    units = np.abs(vals) > 0.5
-    if not np.any(units):
-        return True
-    return bool(np.max(np.abs(vals[units] - 1.0)) < 1e-9)
+    """Is the product of the characters principal: do their indices, scaled
+    to a common exponent, sum to 0 mod it on every common unit?"""
+    m = math.lcm(*(psi.q for psi in psis))
+    L = math.lcm(*(psi.group.exponent for psi in psis))
+    ks = [psi.indices()[np.arange(m) % psi.q] for psi in psis]
+    units = np.all([k >= 0 for k in ks], axis=0)
+    total = sum(k * (L // psi.group.exponent) for k, psi in zip(ks, psis))
+    return not np.any(total[units] % L)
 
 
 @dataclass
@@ -465,7 +473,6 @@ class TripleReport:
 def predict_triples(
     prob: TripleProblem,
     z: float | None = None,
-    r_max: int = 12,
     pmax: int = 10**6,
 ) -> TripleReport:
     """Density prediction against the exact convolution oracle.
@@ -479,10 +486,11 @@ def predict_triples(
     x = prob.scale
     if z is None:
         z = math.log(x)
+    _check_residue_tables(z)
     count = triple_sum_fft(prob)
     density = count / (x * x / 2.0)
 
-    frames = tuple(select_global_frame(fn, x, r_max) for fn in (prob.f, prob.g, prob.h))
+    frames = tuple(select_global_frame(fn, x) for fn in (prob.f, prob.g, prob.h))
     factors: dict = {"z": z}
     real_ok = (
         prob.f.exact_int
@@ -533,7 +541,7 @@ def predict_triples(
         einf = archimedean_E(1.0, 1.0, 1.0, frames[0].t, frames[1].t, frames[2].t, 1.0)
     top = max(z, 2)
     ps = [int(p) for p in get_sieve(top).primes_upto(top).tolist()]
-    for p in sorted({q for q in _prime_divisors(prob.a * prob.b * prob.c)} - set(ps)):
+    for p in sorted({p for p, _ in factor(prob.a * prob.b * prob.c)} - set(ps)):
         ps.append(p)
     ep = []
     local = 1.0 + 0.0j
@@ -562,10 +570,6 @@ def predict_triples(
         }
     )
     return TripleReport(x, prob.mode, count, complex(density), complex(predicted), "generic", factors)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in factor(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -493,14 +493,13 @@ def arc_decompose_Rf(
     alpha,
     x: int,
     eps: float = 0.1,
-    r_max: int = 12,
     frame: Frame | None = None,
 ) -> ArcSplit:
     """R_f = M_f + E_f with the single global frame; M_f = 0 on minor arcs
     and carries the r | q indicator on major ones."""
     arc = classify_alpha(alpha, x, eps)
     if frame is None:
-        frame = select_global_frame(f, x, r_max)
+        frame = select_global_frame(f, x)
     R = direct_sum_rational(f, arc.a, arc.q, arc.beta, x)
     r_div = arc.q % frame.r == 0
     M = 0.0 + 0.0j

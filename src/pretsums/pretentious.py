@@ -214,9 +214,13 @@ def select_frames(
     return [_frame(f, x, chi, chi.primitive()[0], s) for chi, s in ranking.top(J)]
 
 
-def primitive_candidates(r_max: int) -> list[DirichletCharacter]:
+R_MAX = 12
+
+
+def primitive_candidates() -> list[DirichletCharacter]:
+    """Every primitive character with modulus up to R_MAX."""
     out = []
-    for r in range(1, r_max + 1):
+    for r in range(1, R_MAX + 1):
         if r % 4 == 2:
             continue  # no primitive characters for r = 2 mod 4
         for chi in enumerate_characters(r):
@@ -226,11 +230,11 @@ def primitive_candidates(r_max: int) -> list[DirichletCharacter]:
 
 
 @lru_cache(maxsize=128)
-def select_global_frame(f: MultFunc, x: int, r_max: int = 12) -> Frame:
-    """Best (psi, t) over all primitive psi with modulus up to r_max,
+def select_global_frame(f: MultFunc, x: int) -> Frame:
+    """Best (psi, t) over all primitive psi with modulus up to R_MAX,
     scored by the twisted Euler-product modulus at scale x."""
     best: Frame | None = None
-    for psi in primitive_candidates(r_max):
+    for psi in primitive_candidates():
         fr = _frame(f, x, psi, psi)
         if best is None or fr.score > best.score * (1 + 1e-12):
             best = fr
@@ -278,7 +282,6 @@ def brudern_check(
     f: MultFunc,
     x: int,
     threshold: float = 0.5,
-    r_max: int = 12,
 ) -> BrudernReport:
     """Bounded-distance criterion: compare the distance at scales x and x^2
     at the best frame; growth above the threshold means the distance diverges
@@ -286,7 +289,7 @@ def brudern_check(
     """
     x2 = x * x
     # frame selected at the base scale; the growth test then probes [x, x^2]
-    frame = select_global_frame(f, x, r_max)
+    frame = select_global_frame(f, x)
     d1 = pretentious_distance(f, frame.psi, frame.t, 1.5, x)
     d2 = d1 + pretentious_distance(f, frame.psi, frame.t, x, x2)
     growth = d2 - d1

@@ -24,7 +24,7 @@ from pretsums.characters import (
 )
 from pretsums.errors import DomainError
 from pretsums.multfunc import legendre
-from pretsums.sieve import divisors, euler_phi, mobius
+from pretsums.sieve import divisors, euler_phi, factor, mobius
 
 
 def test_enumeration_counts():
@@ -104,6 +104,36 @@ def test_conductor():
             psi, r = chi.primitive()
             assert q % r == 0
             assert psi.is_primitive
+
+
+def test_characters_match_their_definitions():
+    """Conductor, primitive character and local factors against their
+    definitions, read off the integer indices: chi(n) = e(k(n)/L)."""
+    for q in [*range(1, 151), 256, 720, 1008]:
+        L = enumerate_characters(q)[0].group.exponent
+        n = np.arange(q)
+        units = np.array([math.gcd(int(v), q) == 1 for v in n])
+        local = [(p**e, np.arange(q) % p**e) for p, e in factor(q)]
+        for chi in enumerate_characters(q):
+            k = chi.indices()
+            assert np.array_equal(k < 0, ~units)
+            # the least d | q with chi(n) = 1 on every unit n = 1 (mod d)
+            least = next(d for d in divisors(q) if not np.any(k[units & ((n - 1) % d == 0)]))
+            assert chi.conductor() == least, (q, chi.exponents)
+            psi, r = chi.primitive()
+            assert r == least and psi.is_primitive
+            kp = psi.indices()[n % r]
+            assert np.array_equal(kp[units] * L, k[units] * psi.group.exponent), (q, chi.exponents)
+            total = np.zeros(q, dtype=np.int64)
+            for pe, res in local:
+                loc = chi.restrict(pe)
+                total += loc.indices()[res] * (L // loc.group.exponent)
+            assert np.array_equal(total[units] % L, k[units]), (q, chi.exponents)
+    # a factor that is not defined mod the p-part of m, and m not dividing q
+    for q, exps, m in ((8, (0, 1), 4), (12, (1, 0), 6), (9, (1,), 3), (12, (0, 0), 5)):
+        with pytest.raises(DomainError):
+            DirichletCharacter(q, exps).restrict(m)
+    assert DirichletCharacter(12, (1, 0)).restrict(4) == DirichletCharacter(4, (1,))
 
 
 def test_gauss_sums():

@@ -8,6 +8,7 @@ from pretsums.characters import DirichletCharacter
 from pretsums.circle import (
     TripleProblem,
     _C_P,
+    _product_principal,
     _capped_valuations,
     _dagger_weights,
     archimedean_E,
@@ -45,7 +46,7 @@ from pretsums.multfunc import (
     split_small_large,
     twist,
 )
-from pretsums.pretentious import Frame, select_global_frame
+from pretsums.pretentious import Frame, primitive_candidates, select_global_frame
 
 
 def test_triple_counts_basic(sieve):
@@ -112,7 +113,7 @@ def test_archimedean_monte_carlo():
 def test_local_factor_brute_force(sieve):
     """Pushforward-convolution local sums against raw triple loops mod p^3."""
     f, g, h = One(), liouville(), legendre(5)
-    frames = tuple(select_global_frame(fn, 10**4, 12) for fn in (f, g, h))
+    frames = tuple(select_global_frame(fn, 10**4) for fn in (f, g, h))
     for p, (a, b, c) in [(2, (3, 1, 2)), (3, (3, 1, 2)), (5, (1, 1, 1)), (3, (1, 1, 1))]:
         e = 3
         pe = p**e
@@ -142,7 +143,7 @@ def test_dagger_weights_spike_on_conductor():
 
 
 def test_euler_factor_ones(sieve):
-    frames = (select_global_frame(One(), 10**4, 12),) * 3
+    frames = (select_global_frame(One(), 10**4),) * 3
     prob = TripleProblem(One(), One(), One(), 1, 1, 1, x=10**4)
     for p in (2, 3, 7):
         assert abs(euler_factor_E(p, prob, frames, math.log(10**4)) - 1.0) < 1e-9
@@ -350,6 +351,27 @@ def test_principality_gate(sieve):
     # all-principal: the sum is the full (weighted) solution density
     g = residue_triple_gate(60, One(), One(), One(), (fr1, fr1, fr1))
     assert abs(g - 1.0) < 1e-9
+
+
+def test_product_principal_matches_float_oracle():
+    """The exact index test against the product of value tables compared
+    with 1 to a tolerance, on every triple of global-frame candidates."""
+
+    def float_oracle(psis):
+        m = math.lcm(*(psi.q for psi in psis))
+        vals = np.ones(m, dtype=np.complex128)
+        for psi in psis:
+            vals = vals * psi.values()[np.arange(m) % psi.q]
+        units = np.abs(vals) > 0.5
+        return not np.any(units) or bool(np.max(np.abs(vals[units] - 1.0)) < 1e-9)
+
+    cands = primitive_candidates()
+    principal = 0
+    for psis in itertools.product(cands, repeat=3):
+        exact = _product_principal(list(psis))
+        assert exact == float_oracle(psis), [(psi.q, psi.exponents) for psi in psis]
+        principal += exact
+    assert (len(cands), principal) == (27, 209)
 
 
 @pytest.mark.parametrize("n", [8, 9, 12, 25])

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +120,28 @@ def test_rank_characters_independent_of_cached_sieve(monkeypatch):
         assert len(rank_characters(One(), 50.0, 2003).entries) == 2002
 
 
+def test_rank_characters_keeps_no_tables():
+    """Once a ranking is dropped, less than 1 MB of its 2002 value tables
+    (64 MB) stays allocated.  A fresh process, so no earlier call has built
+    them already; a small ranking first loads what numpy imports lazily."""
+    code = (
+        "import gc, tracemalloc\n"
+        "from pretsums.multfunc import One\n"
+        "from pretsums.pretentious import rank_characters\n"
+        "rank_characters(One(), 50.0, 7)\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "ranking = rank_characters(One(), 50.0, 2003)\n"
+        "assert len(ranking.entries) == 2002\n"
+        "del ranking\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] - before)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 1 << 20, r.stdout
+
+
 def test_select_frames(sieve):
     frames = select_frames(legendre(5), 10**5, 5, 3)
     assert frames[0].r == 5 and abs(frames[0].t) < 1e-3
@@ -171,7 +195,7 @@ def test_frame_stability(sieve):
 
 
 def test_global_frame(sieve):
-    fr = select_global_frame(legendre(5), 10**4, 12)
+    fr = select_global_frame(legendre(5), 10**4)
     assert fr.r == 5
-    fr = select_global_frame(One(), 10**4, 12)
+    fr = select_global_frame(One(), 10**4)
     assert fr.r == 1 and fr.t == 0.0
