@@ -176,13 +176,15 @@ def smallest_cap_exponent(p: int, z: float) -> int:
     return e
 
 
-def _check_residue_tables(z: float) -> None:
+def _check_residue_tables(z: float, abc: int) -> None:
     """Raise unless the residue table mod p^e, e = smallest_cap_exponent(p, z),
-    stays within 2^20 entries for every prime p <= z.  A prime p <= z has
-    e >= 3 and 103^3 > 2^20, so the primes up to 103 decide."""
+    stays within 2^20 entries for every prime a local factor reads: each
+    p <= z and each p | abc.  A prime p <= z has e >= 3 and 103^3 > 2^20, so
+    of those the primes up to 103 decide."""
     if not math.isfinite(z * z):
         raise DomainError(f"z = {z} is out of range")
-    for p in get_sieve(103).primes_upto(min(z, 103)).tolist():
+    small = get_sieve(103).primes_upto(min(z, 103)).tolist()
+    for p in small + [p for p, _ in factor(abc)]:
         e = smallest_cap_exponent(p, z)
         if p**e > 1 << 20:
             raise DomainError(f"z = {z} needs a residue table mod p^e = {p}^{e} = {p**e}, above 2^20 entries")
@@ -486,7 +488,7 @@ def predict_triples(
     x = prob.scale
     if z is None:
         z = math.log(x)
-    _check_residue_tables(z)
+    _check_residue_tables(z, prob.a * prob.b * prob.c)
     count = triple_sum_fft(prob)
     density = count / (x * x / 2.0)
 

@@ -192,6 +192,7 @@ def test_exit_codes(tmp_path):
         (["oscint", "x=10", "beta=nan", "t=0"], 2),
         (["expsum", "direct", f"f=table:{table}", "alpha=1/3", "x=100"], 2),
         (["triples", "f=legendre:5", "g=one", "h=legendre:5", "a=2", "b=3", "c=1", "x=600", "z=103"], 1),
+        (["triples", "f=legendre:5", "g=one", "h=legendre:5", "a=9973", "b=1", "c=1", "x=600", "z=100"], 1),
     ]
     for args, code in env_runs:
         r = subprocess.run(
