@@ -8,9 +8,9 @@ from pretsums.characters import DirichletCharacter
 from pretsums.circle import (
     TripleProblem,
     _C_P,
-    _product_principal,
     _capped_valuations,
     _dagger_weights,
+    _product_principal,
     archimedean_E,
     c2_product,
     cor2_constants,
