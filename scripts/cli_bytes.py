@@ -10,9 +10,10 @@ checkout holding this script.  One line per run goes to stdout:
 The corpus is README's CLI lines (read from README.md), the argv of
 tests/test_cli.py, complex-valued f, local-factor problems, moduli on both
 sides of the character-ranking window, characters whose conductor, primitive
-character or local factors the run reads, and inputs the CLI rejects.  Argv
-that exit 1 or 2 are part of the corpus; the script itself exits 0.  No
-golden hashes are kept: diff the output of two checkouts.
+character or local factors the run reads, complex f on both sides of numpy's
+temporary-elision size, frame counts J and thresholds z, and inputs the CLI
+rejects.  Argv that exit 1 or 2 are part of the corpus; the script itself
+exits 0.  No golden hashes are kept: diff the output of two checkouts.
 
 Usage: python3 scripts/cli_bytes.py > hashes.txt
 """
@@ -116,6 +117,27 @@ CHARACTERS = [
     "pretend f=one x=20000 q=2003",
 ]
 
+# the periodic-sum oracle with complex f, below and above 16,384 entries
+# (where numpy starts reusing a temporary operand of a product in place)
+PERIODIC_SUM = [
+    "expsum direct f=randpm:2*char:7:2 alpha=0.4286 x=997",
+    "expsum direct f=randpm:2*char:7:2 alpha=0.4286 x=30011",
+    "expsum direct f=randpm:2*char:7:2 alpha=3/7 x=997",
+    "twisted f=randpm:2*char:7:2 h=charshift:1,1:5 q=12 x=997",
+]
+
+# frame counts J and local-factor thresholds z: J = 1 (no frames), z = 2,
+# and the J < 1 and z < 2 the CLI rejects
+J_AND_Z = [
+    "pretend f=legendre:5 x=10000 q=5 J=1",
+    "expsum predict f=one alpha=1/3 x=100 J=0",
+    "expsum predict f=one alpha=1/3 x=100 J=-1",
+    "pretend f=one x=100 q=5 J=-2",
+    "triples f=legendre:5 g=one h=legendre:5 a=2 b=3 c=1 x=600 z=2",
+    "triples f=legendre:5 g=one h=legendre:5 a=2 b=3 c=1 x=600 z=1.5",
+    "triples f=legendre:5 g=one h=legendre:5 a=2 b=3 c=1 x=600 z=-10",
+]
+
 
 def readme_argv() -> list[str]:
     """The `pretsums ...` lines of README's CLI block, as CI extracts them."""
@@ -151,7 +173,8 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     runs = 0
-    for line in readme_argv() + TEST_CLI + COMPLEX_F + LOCAL_FACTOR + RANKING_WINDOW + CHARACTERS:
+    corpus = [*readme_argv(), *TEST_CLI, *COMPLEX_F, *LOCAL_FACTOR, *RANKING_WINDOW, *CHARACTERS, *PERIODIC_SUM, *J_AND_Z]
+    for line in corpus:
         for fmt in ("json", "csv"):
             argv = without_format(line.split()) + ["--format", fmt]
             cmd = [sys.executable, "-m", "pretsums.cli", *argv]

@@ -179,9 +179,7 @@ class DirichletCharacter:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        k = self.indices()
-        tab = self.group.roots[k]
-        tab[k < 0] = 0
+        tab = self.table()
         tab.flags.writeable = False
         return tab
 
@@ -191,9 +189,18 @@ class DirichletCharacter:
 
     @cached_property
     def _values_exact(self) -> np.ndarray:
-        k = self.indices()
-        tab = (k == 0).astype(np.int8) - (k > 0)  # 1 at k = 0, -1 at k = L/2, 0 off units
+        tab = self.table(exact=True)
         tab.flags.writeable = False
+        return tab
+
+    def table(self, exact: bool = False) -> np.ndarray:
+        """chi(n) for n = 0..q-1, built afresh from the indices and kept
+        nowhere: complex128, or int8 when exact (a real character only)."""
+        k = self.indices()
+        if exact:
+            return (k == 0).astype(np.int8) - (k > 0)  # 1 at k = 0, -1 at k = L/2, 0 off units
+        tab = self.group.roots[k]
+        tab[k < 0] = 0
         return tab
 
     @property
@@ -343,9 +350,6 @@ class PeriodicFunction:
 
     def __call__(self, n: int) -> complex:
         return complex(self.table[n % self.period])
-
-    def values_on(self, n: np.ndarray) -> np.ndarray:
-        return self.table[np.mod(n, self.period)]
 
     def minimal_period(self) -> int:
         from .sieve import divisors

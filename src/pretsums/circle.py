@@ -181,6 +181,8 @@ def _check_residue_tables(z: float, abc: int) -> None:
     stays within 2^20 entries for every prime a local factor reads: each
     p <= z and each p | abc.  A prime p <= z has e >= 3 and 103^3 > 2^20, so
     of those the primes up to 103 decide."""
+    if not z >= 2:
+        raise DomainError(f"z = {z} is below 2, the least prime")
     if not math.isfinite(z * z):
         raise DomainError(f"z = {z} is out of range")
     small = get_sieve(103).primes_upto(min(z, 103)).tolist()
@@ -487,7 +489,7 @@ def predict_triples(
     """
     x = prob.scale
     if z is None:
-        z = math.log(x)
+        z = max(math.log(x), 2.0)
     _check_residue_tables(z, prob.a * prob.b * prob.c)
     count = triple_sum_fft(prob)
     density = count / (x * x / 2.0)
@@ -531,7 +533,7 @@ def predict_triples(
 
     # generic route
     splits: list[SmallLargeSplit] = [
-        split_small_large(fn, fr.psi, fr.t, max(z, 2.0))
+        split_small_large(fn, fr.psi, fr.t, z)
         for fn, fr in zip((prob.f, prob.g, prob.h), frames)
     ]
     means = [complex(mu_mean(sp.F_l, x)) for sp in splits]
@@ -541,8 +543,7 @@ def predict_triples(
         einf = archimedean_E(prob.a, prob.b, -prob.c, frames[0].t, frames[1].t, frames[2].t, 0.0)
     else:
         einf = archimedean_E(1.0, 1.0, 1.0, frames[0].t, frames[1].t, frames[2].t, 1.0)
-    top = max(z, 2)
-    ps = [int(p) for p in get_sieve(top).primes_upto(top).tolist()]
+    ps = [int(p) for p in get_sieve(z).primes_upto(z).tolist()]
     for p in sorted({p for p, _ in factor(prob.a * prob.b * prob.c)} - set(ps)):
         ps.append(p)
     ep = []

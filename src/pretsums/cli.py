@@ -314,8 +314,7 @@ def _cmd_triples(kv, flags, mode):
         )
     else:
         prob = TripleProblem(f, g, h, mode="partition", N=_int(kv, "N"))
-    z = _float(kv, "z", 0.0) or None
-    rep = predict_triples(prob, z)
+    rep = predict_triples(prob, _float(kv, "z") if "z" in kv else None)
     obj = rep.to_dict()
     rows = [
         [

@@ -1,10 +1,9 @@
 """Exact exponential sums R_f(alpha, x) and their main-term predictors.
 
-The oracles are honest O(x) summations with compensated accumulation.  At a
-rational alpha = a/q (beta = 0) with {-1,0,1}-valued f they are exact: f is
-summed by residue class mod q in integers, and only the q class sums meet
-the roots of unity.  The predictors assemble, per ranked frame
-(psi_j mod r_j, t_j), the term
+The oracles are honest O(x) summations with compensated accumulation.  A sum
+of f against a function of period q (R_f at a/q with beta = 0, the twisted
+and AP sums, S_f(x, chi)) is multfunc.periodic_sum, exact for {-1,0,1}-valued
+f.  The predictors assemble, per ranked frame (psi_j mod r_j, t_j), the term
 
     conj(psi_j)(a) g(psi_j) kappa_j(q/r_j) I(x, beta, t_j) S_{f_j}(x) / phi(q)
 
@@ -12,9 +11,10 @@ plus the literal error budget; they report the discrepancy against the
 oracle rather than asserting any unproved bound.  Every main term, including
 the single-frame M_f of arc_decompose_Rf and the CLI scan, comes from one
 builder: frame_term multiplies a coefficient by I and S and divides by
-phi(q), and theorem1_coefficient supplies the coefficient shown above
-(predict_twisted and ap_sum pass their own).  Arcs are classified by
-continued-fraction convergents.
+phi(q).  theorem1_coefficient is the closed-form coefficient shown above;
+predict_twisted sums twisted_coefficient over the divisors of q for any h of
+period q, and ap_sum is predict_twisted with h the indicator of a mod q.
+Arcs are classified by continued-fraction convergents.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .characters import DirichletCharacter, PeriodicFunction, pseudo_gauss
+from .characters import DirichletCharacter, PeriodicFunction, periodic_from_table, pseudo_gauss
 from .errors import DomainError
 from .multfunc import (
     KappaFunction,
@@ -36,6 +36,7 @@ from .multfunc import (
     fsum_complex,
     k_factor,
     mean_value,
+    periodic_sum,
     twist,
 )
 from .oscint import I_value
@@ -51,21 +52,6 @@ ETA = 1.0 - 2.0 / math.pi
 # ---------------------------------------------------------------------------
 
 
-def _exact_dot(c: np.ndarray, w: np.ndarray) -> float:
-    """sum c[k] w[k], correctly rounded, for int64 c with |c| < 2^53.
-
-    c splits into 2^26-multiples and a remainder below 2^26, and w into two
-    26-bit halves (Veltkamp), so each of the four partial products is exact
-    in float64 and math.fsum rounds their sum once.
-    """
-    c_hi = (c >> 26) << 26
-    c_lo = c - c_hi
-    s = w * 134217729.0  # 2^27 + 1
-    w_hi = s - (s - w)
-    w_lo = w - w_hi
-    return math.fsum(np.concatenate([c_hi * w_hi, c_hi * w_lo, c_lo * w_hi, c_lo * w_lo]))
-
-
 def direct_sum(f: MultFunc, alpha: float, x: int) -> complex:
     """R_f(alpha, x) = sum_{n <= x} f(n) e(n alpha), exact summation."""
     vals = eval_range(f, x).astype(np.complex128)
@@ -78,23 +64,17 @@ def direct_sum(f: MultFunc, alpha: float, x: int) -> complex:
 def direct_sum_rational(f: MultFunc, a: int, q: int, beta: float, x: int) -> complex:
     """R_f(a/q + beta, x) with the rational phase folded exactly mod q.
 
-    For {-1,0,1}-valued f at beta = 0, f is summed per residue class n mod q
-    in integers and the q class sums meet the roots e(an/q) in exact products
-    (_exact_dot), so the result is the correctly rounded value of the sum.
+    At beta = 0 this is periodic_sum with the table e(an/q), n mod q: exact
+    class sums for {-1,0,1}-valued f, correctly rounded against the roots.
     """
-    vals = eval_range(f, x)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    if vals.dtype == np.int8 and beta == 0.0:
-        padded = np.zeros(-(-(x + 1) // q) * q, dtype=np.int8)
-        padded[: x + 1] = vals
-        classes = padded.reshape(-1, q).sum(axis=0, dtype=np.int64)
-        w = roots[(np.arange(q) * (a % q)) % q]
-        return complex(_exact_dot(classes, w.real), _exact_dot(classes, w.imag))
+    if beta == 0.0:
+        return periodic_sum(f, roots[(np.arange(q) * (a % q)) % q], x)
+    vals = eval_range(f, x)
     n = np.arange(x + 1)
     cvals = vals.astype(np.complex128)
     z = cvals * roots[(n * (a % q)) % q]
-    if beta != 0.0:
-        z = z * np.exp(2j * np.pi * np.mod(n * beta, 1.0))
+    z = z * np.exp(2j * np.pi * np.mod(n * beta, 1.0))
     return fsum_complex(z)
 
 
@@ -401,41 +381,20 @@ def predict_twisted(
     q = h.period
     frames = select_frames(f, x, q, J)
     terms, total = _frame_terms(f, frames, x, 0.0, q, lambda fr: twisted_coefficient(f, h, fr))
-    vals = eval_range(f, x).astype(np.complex128)
-    n = np.arange(x + 1)
-    z = vals * h.values_on(n)
-    oracle = fsum_complex(z)
+    oracle = periodic_sum(f, h.table, x)
     return PredictionReport(oracle=oracle, predicted=total, terms=terms, err_budget=float("nan"))
 
 
-def ap_sum(
-    f: MultFunc,
-    a: int,
-    q: int,
-    x: int,
-    mode: str = "direct",
-    J: int = 3,
-):
-    """Sum of f over n <= x, n = a mod q: exact count or frame prediction."""
-    if mode == "direct":
-        vals = eval_range(f, x)
-        n = np.arange(x + 1)
-        sel = vals[n % q == a % q]
-        if sel.dtype == np.int8:
-            return int(np.sum(sel, dtype=np.int64))
-        return fsum_complex(sel)
-    if mode != "predicted":
-        raise DomainError(f"ap_sum mode must be direct or predicted, got {mode}")
+def ap_sum(f: MultFunc, a: int, q: int, x: int, J: int = 3) -> PredictionReport:
+    """Prediction for the sum of f over n <= x, n = a mod q: predict_twisted
+    with h the indicator of a mod q, and the AP error-term shape
+    x/phi(q) (loglog x)^2 (log x)^{-eta} as the budget."""
     if gcd(a, q) != 1:
-        raise DomainError("predicted ap_sum needs gcd(a, q) = 1")
-    frames = select_frames(f, x, q, J)
-    terms, total = _frame_terms(
-        f, frames, x, 0.0, q, lambda fr: fr.psi(a) * k_factor(twist(f, fr.psi, fr.t), q)
-    )
-    oracle = ap_sum(f, a, q, x, "direct", J)
+        raise DomainError(f"ap_sum needs gcd(a, q) = 1, got ({a}, {q})")
+    rep = predict_twisted(f, periodic_from_table(q, np.arange(q) == a % q), x, J)
     lx = math.log(x)
-    budget = x / euler_phi(q) * math.log(lx) ** 2 * lx**-ETA
-    return PredictionReport(oracle=complex(oracle), predicted=total, terms=terms, err_budget=budget)
+    rep.err_budget = x / euler_phi(q) * math.log(lx) ** 2 * lx**-ETA
+    return rep
 
 
 def s_f_chi_predict(

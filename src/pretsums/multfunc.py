@@ -363,6 +363,44 @@ def fsum_complex(arr: np.ndarray) -> complex:
     return complex(math.fsum(arr), 0.0)
 
 
+def _exact_dot(c: np.ndarray, w: np.ndarray) -> float:
+    """sum c[k] w[k], correctly rounded, for int64 c with |c| < 2^53.
+
+    c splits into 2^26-multiples and a remainder below 2^26, and w into two
+    26-bit halves (Veltkamp), so each of the four partial products is exact
+    in float64 and math.fsum rounds their sum once.
+    """
+    c_hi = (c >> 26) << 26
+    c_lo = c - c_hi
+    s = w * 134217729.0  # 2^27 + 1
+    w_hi = s - (s - w)
+    w_lo = w - w_hi
+    return math.fsum(np.concatenate([c_hi * w_hi, c_hi * w_lo, c_lo * w_hi, c_lo * w_lo]))
+
+
+def periodic_sum(f: MultFunc, table: np.ndarray, x: int) -> int | complex:
+    """sum_{n <= x} f(n) table[n mod q], q = len(table).
+
+    For {-1,0,1}-valued f, f is summed per residue class mod q in int64 and
+    only the q class sums meet the table: an exact int for an integer table,
+    else the correctly rounded real and imaginary parts (_exact_dot).  Other
+    f sum the products with math.fsum.
+    """
+    vals = eval_range(f, x)
+    q = len(table)
+    if vals.dtype != np.int8:
+        # Keep this one expression: from 16,384 entries numpy reuses the
+        # gathered temporary in place, which computes table * f, and numpy's
+        # complex product is not bitwise commutative.
+        return fsum_complex(vals * table[np.arange(x + 1) % q])
+    padded = np.zeros(-(-(x + 1) // q) * q, dtype=np.int8)
+    padded[: x + 1] = vals
+    classes = padded.reshape(-1, q).sum(axis=0, dtype=np.int64)
+    if np.issubdtype(table.dtype, np.integer):
+        return int(classes @ table.astype(np.int64))
+    return complex(_exact_dot(classes, table.real), _exact_dot(classes, table.imag))
+
+
 def mean_value(
     f: MultFunc,
     x: int,
@@ -371,17 +409,13 @@ def mean_value(
     """S_f(x, chi) = sum_{n <= x} f(n) conj(chi)(n); plain S_f(x) if chi is None."""
     if x <= 0:
         return 0
-    vals = eval_range(f, x)
     if chi is None or chi.q == 1:
+        vals = eval_range(f, x)
         if vals.dtype == np.int8:
             return int(np.sum(vals, dtype=np.int64))
         return fsum_complex(vals[1:])
-    n = np.arange(x + 1)
     ct = chi.values_exact()
-    if ct is not None and vals.dtype == np.int8:
-        return int(np.sum(vals.astype(np.int64) * ct[n % chi.q].astype(np.int64)))
-    cvals = np.conj(chi.values())[n % chi.q]
-    return fsum_complex(vals * cvals)
+    return periodic_sum(f, np.conj(chi.values()) if ct is None else ct, x)
 
 
 def mu_mean(f: MultFunc, x: int) -> complex:

@@ -154,7 +154,7 @@ class CharacterRanking:
     entries: list[tuple[DirichletCharacter, float]]  # (chi, s_f) descending
 
     def top(self, J: int) -> list[tuple[DirichletCharacter, float]]:
-        return self.entries[: max(J - 1, 1)]
+        return self.entries[: J - 1]
 
 
 RANK_POINTS = 32
@@ -163,7 +163,8 @@ RANK_POINTS = 32
 def rank_characters(f: MultFunc, X: float, q: int) -> CharacterRanking:
     """Order characters mod q by s_f(X, chi) = max |S_f(v, chi)|/v over a
     geometric grid of up to RANK_POINTS points in [sqrt(X), X^2]; q may not
-    exceed the top of that window."""
+    exceed the top of that window.  Each character's table is built, used
+    and dropped (chi.table), so the ranking holds bare characters."""
     hi = int(math.ceil(X * X))
     if q > hi:
         raise DomainError(f"modulus {q} exceeds the ranking window X^2 = {hi}")
@@ -175,13 +176,10 @@ def rank_characters(f: MultFunc, X: float, q: int) -> CharacterRanking:
     n = np.arange(hi + 1)
     entries = []
     for idx, chi in enumerate(enumerate_characters(q)):
-        ct = chi.values_exact()
-        if ct is not None and vals.dtype == np.int8:
-            prod = vals.astype(np.int64) * ct[n % q]
-            sums = np.cumsum(prod)
+        if chi.is_real and vals.dtype == np.int8:
+            sums = np.cumsum(vals.astype(np.int64) * chi.table(exact=True)[n % q])
         else:
-            prod = vals.astype(np.complex128) * np.conj(chi.values())[n % q]
-            sums = np.cumsum(prod)
+            sums = np.cumsum(vals.astype(np.complex128) * np.conj(chi.table())[n % q])
         s = float(np.max(np.abs(sums[pts]) / pts))
         entries.append((idx, chi, s))
     entries.sort(key=lambda e: (-e[2], e[0]))
@@ -209,7 +207,10 @@ def select_frames(
     J: int = 3,
 ) -> list[Frame]:
     """Top J-1 frames for f mod q: rank by s_f(sqrt(x), .), then pick each
-    frame's t as the maximizer for the psi-twisted function at scale x."""
+    frame's t as the maximizer for the psi-twisted function at scale x.
+    J = 1 gives no frames; J < 1 is a domain error."""
+    if J < 1:
+        raise DomainError(f"the frame count J must be >= 1, got {J}")
     ranking = rank_characters(f, math.sqrt(x), q)
     return [_frame(f, x, chi, chi.primitive()[0], s) for chi, s in ranking.top(J)]
 

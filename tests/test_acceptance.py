@@ -228,7 +228,7 @@ def test_c3_decay_ap_and_twisted_sums(sieve):
     }
     for name, (f, (a, q), pretentious) in ap_cases.items():
         rels = [
-            ap_sum(f, a, q, x, "predicted", 3).abs_discrepancy / x for x in SCALES
+            ap_sum(f, a, q, x, 3).abs_discrepancy / x for x in SCALES
         ]
         ok = _mono(rels)
         if pretentious:

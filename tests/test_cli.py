@@ -193,6 +193,10 @@ def test_exit_codes(tmp_path):
         (["expsum", "direct", f"f=table:{table}", "alpha=1/3", "x=100"], 2),
         (["triples", "f=legendre:5", "g=one", "h=legendre:5", "a=2", "b=3", "c=1", "x=600", "z=103"], 1),
         (["triples", "f=legendre:5", "g=one", "h=legendre:5", "a=9973", "b=1", "c=1", "x=600", "z=100"], 1),
+        (["triples", "f=legendre:5", "g=one", "h=legendre:5", "a=2", "b=3", "c=1", "x=600", "z=-10"], 1),
+        (["expsum", "predict", "f=one", "alpha=1/3", "x=100", "J=0"], 1),
+        (["expsum", "predict", "f=one", "alpha=1/3", "x=100", "J=-1"], 1),
+        (["pretend", "f=one", "x=100", "q=5", "J=-2"], 1),
     ]
     for args, code in env_runs:
         r = subprocess.run(

@@ -7,11 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from pretsums.characters import enumerate_characters, periodic_exp_fraction, periodic_kloosterman, periodic_one
+from pretsums.characters import (
+    enumerate_characters,
+    periodic_exp_fraction,
+    periodic_from_table,
+    periodic_kloosterman,
+    periodic_one,
+)
 from pretsums.errors import DomainError
 from pretsums import expsum
 from pretsums.expsum import (
-    _exact_dot,
     _mark_major,
     ap_sum,
     arc_decompose_Rf,
@@ -41,9 +46,11 @@ from pretsums.multfunc import (
     One,
     ProductMF,
     RandomSign,
+    _exact_dot,
     eval_range,
     legendre,
     liouville,
+    periodic_sum,
     twist,
 )
 from pretsums.pretentious import select_frames
@@ -187,21 +194,29 @@ def test_predict_twisted_kloosterman(sieve):
 
 
 def test_ap_sum(sieve):
-    rep = ap_sum(One(), 1, 4, 10**5, "predicted", 3)
+    rep = ap_sum(One(), 1, 4, 10**5, 3)
     assert rep.oracle == 25000
     assert abs(rep.predicted - 25000) / 25000 < 1e-3
-    d = ap_sum(legendre(3), 0, 1, 10**4, "direct", 3)
-    rep = ap_sum(legendre(3), 0, 1, 10**4, "predicted", 3)
+    d = periodic_sum(legendre(3), np.ones(1, dtype=np.int8), 10**4)
+    rep = ap_sum(legendre(3), 0, 1, 10**4, 3)
     assert abs(rep.oracle - d) < 1e-12
     rels = []
     for x in (10**4, 10**5):
-        rep = ap_sum(legendre(3), 1, 4, x, "predicted", 3)
+        rep = ap_sum(legendre(3), 1, 4, x, 3)
         rels.append(rep.abs_discrepancy / x)
     assert rels[1] <= rels[0]
     with pytest.raises(DomainError):
-        ap_sum(One(), 2, 4, 100, "predicted", 3)
-    with pytest.raises(DomainError):
-        ap_sum(One(), 1, 4, 100, "nonsense", 3)
+        ap_sum(One(), 2, 4, 100, 3)
+
+
+def test_ap_sum_is_predict_twisted_with_the_ap_indicator(sieve):
+    """ap_sum is predict_twisted at h = 1_{a mod q}, bit for bit, plus its budget."""
+    for f, a, q, x in ((legendre(5), 2, 7, 20000), (parse_multfunc("randpm:2*char:7:2"), 3, 4, 997)):
+        rep = ap_sum(f, a, q, x, 3)
+        tw = predict_twisted(f, periodic_from_table(q, np.arange(q) == a), x, 3)
+        assert rep.oracle == tw.oracle and rep.predicted == tw.predicted
+        assert [t.to_dict() for t in rep.terms] == [t.to_dict() for t in tw.terms]
+        assert math.isfinite(rep.err_budget) and math.isnan(tw.err_budget)
 
 
 def test_s_f_chi_predict(sieve):

@@ -30,6 +30,7 @@ from pretsums.multfunc import (
     legendre,
     liouville,
     mean_value,
+    periodic_sum,
     split_small_large,
     structure_split,
     twist,
@@ -224,6 +225,27 @@ def test_k_factor(sieve):
         for p, _ in sieve.factor(m):
             direct *= 1 - f.prime_value(p) / p
         assert abs(k_factor(f, m) - direct) < 1e-12
+
+
+def test_periodic_sum_against_a_loop(sieve):
+    """periodic_sum equals the plain sum of f(n) table[n mod q]: the integer
+    sum, as an int, for {-1,0,1}-valued f and an integer table; math.fsum of
+    the exact products for a complex table."""
+    rng = np.random.default_rng(3)
+    for f in (legendre(5), liouville(), RandomSign(2)):
+        f_all = [eval_at(f, n) for n in range(1, 998)]
+        for q in (1, 4, 7, 12):
+            itab = rng.integers(-1, 2, q).astype(np.int8)
+            ctab = np.exp(2j * np.pi * rng.random(q))
+            for x in (0, 1, q - 1, q, 997):
+                fv = f_all[:x]
+                got = periodic_sum(f, itab, x)
+                assert type(got) is int and got == sum(v * int(itab[n % q]) for n, v in enumerate(fv, 1))
+                want = complex(
+                    math.fsum(v * ctab[n % q].real for n, v in enumerate(fv, 1)),
+                    math.fsum(v * ctab[n % q].imag for n, v in enumerate(fv, 1)),
+                )
+                assert periodic_sum(f, ctab, x) == want
 
 
 def test_mean_value(sieve):

@@ -121,8 +121,9 @@ def test_rank_characters_independent_of_cached_sieve(monkeypatch):
 
 
 def test_rank_characters_keeps_no_tables():
-    """Once a ranking is dropped, less than 1 MB of its 2002 value tables
-    (64 MB) stays allocated.  A fresh process, so no earlier call has built
+    """While a ranking of the 2002 characters mod 2003 is alive, less than
+    8 MB stays traced (their value tables would take 64 MB), and less than
+    1 MB once it is dropped.  A fresh process, so no earlier call has built
     them already; a small ranking first loads what numpy imports lazily."""
     code = (
         "import gc, tracemalloc\n"
@@ -133,13 +134,16 @@ def test_rank_characters_keeps_no_tables():
         "before = tracemalloc.get_traced_memory()[0]\n"
         "ranking = rank_characters(One(), 50.0, 2003)\n"
         "assert len(ranking.entries) == 2002\n"
+        "alive = tracemalloc.get_traced_memory()[0] - before\n"
         "del ranking\n"
         "gc.collect()\n"
-        "print(tracemalloc.get_traced_memory()[0] - before)\n"
+        "print(alive, tracemalloc.get_traced_memory()[0] - before)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert int(r.stdout) < 1 << 20, r.stdout
+    alive, dropped = map(int, r.stdout.split())
+    assert alive < 8 << 20, r.stdout
+    assert dropped < 1 << 20, r.stdout
 
 
 def test_select_frames(sieve):
@@ -148,6 +152,10 @@ def test_select_frames(sieve):
     assert frames[0].chi.exponents == legendre(5).chi.exponents
     # ranking dominance: top frame's s-value is the max
     assert all(frames[0].s_value >= fr.s_value for fr in frames)
+    # the top J - 1 frames: none at J = 1, and J < 1 is rejected
+    assert select_frames(legendre(5), 10**5, 5, 1) == []
+    with pytest.raises(DomainError):
+        select_frames(legendre(5), 10**5, 5, 0)
 
 
 def test_pretentious_distance(sieve):
