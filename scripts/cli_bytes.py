@@ -11,9 +11,10 @@ The corpus is README's CLI lines (read from README.md), the argv of
 tests/test_cli.py, complex-valued f, local-factor problems, moduli on both
 sides of the character-ranking window, characters whose conductor, primitive
 character or local factors the run reads, complex f on both sides of numpy's
-temporary-elision size, frame counts J and thresholds z, and inputs the CLI
-rejects.  Argv that exit 1 or 2 are part of the corpus; the script itself
-exits 0.  No golden hashes are kept: diff the output of two checkouts.
+temporary-elision size, frame counts J and thresholds z, arc parameters eps,
+and inputs the CLI rejects.  Argv that exit 1 or 2 are part of the corpus;
+the script itself exits 0.  No golden hashes are kept: diff the output of two
+checkouts.
 
 Usage: python3 scripts/cli_bytes.py > hashes.txt
 """
@@ -138,6 +139,20 @@ J_AND_Z = [
     "triples f=legendre:5 g=one h=legendre:5 a=2 b=3 c=1 x=600 z=-10",
 ]
 
+# arc parameters eps outside (0, 1] (one too large for a scan or energy grid),
+# the removed --seed flag, and a twisted period q < 1 whatever h is
+INPUT_BOUNDARY = [
+    "arcs alpha=1/3 x=1000 eps=400",
+    "arcs alpha=1/3 x=1000 eps=-400",
+    "arcs alpha=1/3 x=1000 eps=-1",
+    "arcs alpha=1/3 x=1000 eps=1",
+    "expsum predict f=one alpha=1/3 x=1000 eps=400",
+    "expsum scan f=one x=100 grid=3 eps=400",
+    "energy f=one x=100 eps=400",
+    "arcs alpha=1/3 x=1000 --seed 7",
+    "twisted f=one h=one q=-5 x=100",
+]
+
 
 def readme_argv() -> list[str]:
     """The `pretsums ...` lines of README's CLI block, as CI extracts them."""
@@ -173,7 +188,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     runs = 0
-    corpus = [*readme_argv(), *TEST_CLI, *COMPLEX_F, *LOCAL_FACTOR, *RANKING_WINDOW, *CHARACTERS, *PERIODIC_SUM, *J_AND_Z]
+    corpus = [*readme_argv(), *TEST_CLI, *COMPLEX_F, *LOCAL_FACTOR, *RANKING_WINDOW, *CHARACTERS, *PERIODIC_SUM, *J_AND_Z, *INPUT_BOUNDARY]
     for line in corpus:
         for fmt in ("json", "csv"):
             argv = without_format(line.split()) + ["--format", fmt]

@@ -174,7 +174,8 @@ class DirichletCharacter:
         return 0j if k < 0 else self.group.roots.item(k)
 
     def values(self) -> np.ndarray:
-        """chi(n) for n = 0..q-1 as read-only complex128."""
+        """chi(n) for n = 0..q-1, cached and read-only: int8 for a real
+        character, complex128 otherwise (see `table`)."""
         return self._values
 
     @cached_property
@@ -183,21 +184,11 @@ class DirichletCharacter:
         tab.flags.writeable = False
         return tab
 
-    def values_exact(self) -> np.ndarray | None:
-        """Read-only int8 table when the character is real, else None."""
-        return self._values_exact if self.order <= 2 else None
-
-    @cached_property
-    def _values_exact(self) -> np.ndarray:
-        tab = self.table(exact=True)
-        tab.flags.writeable = False
-        return tab
-
-    def table(self, exact: bool = False) -> np.ndarray:
+    def table(self) -> np.ndarray:
         """chi(n) for n = 0..q-1, built afresh from the indices and kept
-        nowhere: complex128, or int8 when exact (a real character only)."""
+        nowhere: int8 for a real character, complex128 otherwise."""
         k = self.indices()
-        if exact:
+        if self.is_real:
             return (k == 0).astype(np.int8) - (k > 0)  # 1 at k = 0, -1 at k = L/2, 0 off units
         tab = self.group.roots[k]
         tab[k < 0] = 0
@@ -335,7 +326,6 @@ class PeriodicFunction:
         table,
         weil_md: int | None = None,
         factors: dict[int, np.ndarray] | None = None,
-        label: str = "table",
     ):
         if period < 1:
             raise DomainError("period must be >= 1")
@@ -346,7 +336,6 @@ class PeriodicFunction:
         self.table = tab
         self.weil_md = weil_md
         self.factors = factors
-        self.label = label
 
     def __call__(self, n: int) -> complex:
         return complex(self.table[n % self.period])
@@ -383,7 +372,7 @@ def _crt_multipliers(q: int) -> dict[int, int]:
 
 
 def periodic_one() -> PeriodicFunction:
-    return PeriodicFunction(1, [1.0], weil_md=None, factors={}, label="one")
+    return PeriodicFunction(1, [1.0], weil_md=None, factors={})
 
 
 def periodic_exp_fraction(q: int) -> PeriodicFunction:
@@ -403,9 +392,7 @@ def periodic_exp_poly(q: int, coeffs: tuple[int, int, int]) -> PeriodicFunction:
             u = np.arange(pe)
             gp = (a * u * u + b * u + c) % pe
             factors[pe] = _e(gp * cp / pe)
-    return PeriodicFunction(
-        q, _e(g / q), weil_md=deg, factors=factors, label=f"expmod:poly={a},{b},{c}"
-    )
+    return PeriodicFunction(q, _e(g / q), weil_md=deg, factors=factors)
 
 
 def periodic_kloosterman(q: int, a: int, b: int) -> PeriodicFunction:
@@ -424,7 +411,7 @@ def periodic_kloosterman(q: int, a: int, b: int) -> PeriodicFunction:
                     ub = pow(u, -1, pe)
                     ft[u] = np.exp(2j * np.pi * ((cp * (a * u + b * ub)) % pe) / pe)
             factors[pe] = ft
-    return PeriodicFunction(q, tab, weil_md=2, factors=factors, label=f"kloosterman:{a},{b}")
+    return PeriodicFunction(q, tab, weil_md=2, factors=factors)
 
 
 def periodic_char_shift(chi: DirichletCharacter, shift: int) -> PeriodicFunction:
@@ -438,7 +425,7 @@ def periodic_char_shift(chi: DirichletCharacter, shift: int) -> PeriodicFunction
         local = chi.restrict(pe)
         u = np.arange(pe)
         factors[pe] = local.values()[(u + shift) % pe]
-    return PeriodicFunction(q, tab, weil_md=1, factors=factors, label="charshift")
+    return PeriodicFunction(q, tab, weil_md=1, factors=factors)
 
 
 def periodic_product(h1: PeriodicFunction, h2: PeriodicFunction) -> PeriodicFunction:
@@ -455,17 +442,11 @@ def periodic_product(h1: PeriodicFunction, h2: PeriodicFunction) -> PeriodicFunc
     if h1.factors is not None and h2.factors is not None:
         if set(h1.factors) == set(h2.factors):
             factors = {pe: h1.factors[pe] * h2.factors[pe] for pe in h1.factors}
-    return PeriodicFunction(
-        h1.period,
-        h1.table * h2.table,
-        weil_md=md,
-        factors=factors,
-        label=f"{h1.label}*{h2.label}",
-    )
+    return PeriodicFunction(h1.period, h1.table * h2.table, weil_md=md, factors=factors)
 
 
 def periodic_from_table(q: int, table) -> PeriodicFunction:
-    return PeriodicFunction(q, table, weil_md=None, factors=None, label="table")
+    return PeriodicFunction(q, table, weil_md=None, factors=None)
 
 
 # ---------------------------------------------------------------------------

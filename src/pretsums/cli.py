@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands take `key=value` tokens plus `--format json|csv`, `--out FILE`,
-`--seed N`.  Exit codes: 0 success, 1 domain error, 2 parse error.  Output is
-deterministic for fixed argv and seed.
+Subcommands take `key=value` tokens plus `--format json|csv` and `--out FILE`.
+Random functions take their seed in the spec (`randpm:SEED`).  Exit codes: 0
+success, 1 domain error, 2 parse error.  Output is deterministic for fixed argv.
 
     pretsums constants
     pretsums oscint x=1000 beta=0.01 t=2.5
@@ -59,7 +59,7 @@ def _parse_alpha(text: str):
 def _parse_tokens(tokens: list[str]) -> tuple[dict, dict]:
     """Split key=value tokens from --flags."""
     kv = {}
-    flags = {"format": "json", "out": None, "seed": 0}
+    flags = {"format": "json", "out": None}
     it = iter(tokens)
     for tok in it:
         if tok == "--format":
@@ -70,11 +70,6 @@ def _parse_tokens(tokens: list[str]) -> tuple[dict, dict]:
             flags["out"] = next(it, None)
             if not flags["out"]:
                 raise ParseError("--out needs a file path")
-        elif tok == "--seed":
-            try:
-                flags["seed"] = int(next(it, ""))
-            except ValueError as exc:
-                raise ParseError("--seed needs an integer") from exc
         elif "=" in tok:
             k, _, v = tok.partition("=")
             kv[k] = v
@@ -191,6 +186,7 @@ def _cmd_scan(kv, flags, f, x):
         exponential_sum_grid,
         frame_term,
         theorem1_coefficient,
+        thresholds,
     )
     from .multfunc import KappaFunction, mean_value, twist
     from .pretentious import select_global_frame
@@ -199,6 +195,7 @@ def _cmd_scan(kv, flags, f, x):
     if M < 2:
         raise ParseError("grid= must be at least 2")
     eps = _float(kv, "eps", 0.1)
+    thresholds(x, eps)  # x and eps are checked before the frame search
     frame = select_global_frame(f, x)
     S = mean_value(twist(f, frame.psi, frame.t), x)
     kappa = KappaFunction(f, frame.psi, frame.t)

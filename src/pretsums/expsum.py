@@ -139,9 +139,13 @@ class ArcDecomposition:
 
 
 def thresholds(x: int, eps: float = 0.1) -> tuple[float, float]:
-    """(Q, Q1) for scale x >= 3: Q = x/(log x)^{tau - eps}, Q1 = (log x)^2 (loglog x)^{1+eps}."""
+    """(Q, Q1) for scale x >= 3 and 0 < eps <= 1: Q = x/(log x)^{tau - eps},
+    Q1 = (log x)^2 (loglog x)^{1+eps}.  The eps bound keeps Q1, the largest
+    arc denominator of a scan or energy grid, below about 4,000 up to x = 2^30."""
     if x < 3:
         raise DomainError(f"thresholds need x >= 3, got {x}")
+    if not 0 < eps <= 1:
+        raise DomainError(f"eps must lie in (0, 1], got {eps}")
     lx = math.log(x)
     Q = x / lx ** (TAU - eps)
     Q1 = lx * lx * math.log(lx) ** (1.0 + eps)
@@ -569,8 +573,8 @@ def minor_arc_energy(
         M = int(next_fast_len(8 * (x + 1)))
     if M < 2 * x + 1:
         raise DomainError(f"grid size {M} below the exactness bound 2x+1 = {2 * x + 1}")
-    vals = eval_range(f, x)
     mask = _mark_major(M, x, eps)
+    vals = eval_range(f, x)
     if vals.dtype == np.int8:
         p2 = np.abs(np.fft.rfft(vals, M)) ** 2
         K = len(p2)
@@ -668,9 +672,11 @@ def identity_41_residual(f: MultFunc, a: int, q: int, beta: float, x: int) -> fl
 
 
 def pls_tail(f: MultFunc, x: int, q: int, J: int = 3) -> float:
-    """sum over chi mod q outside the top J-1 of |S_f(x, chi)|^2."""
+    """sum over chi mod q outside the top J-1 of |S_f(x, chi)|^2; J >= 1."""
     from .pretentious import rank_characters
 
+    if J < 1:
+        raise DomainError(f"the frame count J must be >= 1, got {J}")
     ranking = rank_characters(f, math.sqrt(x), q)
     total = 0.0
     for chi, _ in ranking.entries[J - 1 :]:

@@ -221,7 +221,9 @@ def _load_periodic_table(path: str, q: int) -> PeriodicFunction:
 
 
 def parse_periodic(spec: str, q: int) -> PeriodicFunction:
-    """Parse a periodic-function spec of period q, with `*` products."""
+    """Parse a periodic-function spec of period q >= 1, with `*` products."""
+    if q < 1:
+        raise DomainError(f"period q must be >= 1, got {q}")
     parts = [p for p in spec.split("*") if p]
     if not parts:
         raise ParseError("empty periodic spec")

@@ -4,8 +4,10 @@ A MultFunc is determined by its values on primes, and a kind defines them by
 one method, `prime_values` over an array of primes; the scalar `prime_value`
 reads that array, and a prime rule's only membership test is its `mask`.
 Everything here evaluates through a shared smallest-prime-factor sieve.
-Functions taking only the values -1, 0, 1 run on an exact integer fast path
-(int8 ranges, int64 sums), which the sign-pattern applications rely on.
+A function is exact when `prime_values` returns int8 (values -1, 0, 1) and
+complex otherwise; that dtype is the only signal of exactness (`exact_int`
+reads it).  Exact functions run on an integer fast path (int8 ranges, int64
+sums), which the sign-pattern applications rely on.
 
 `twist` is the one source of twisted prime values f(p) conj(psi)(p) p^{-it}:
 the kappa and k factors of a frame, S_{f_j}(x), the local daggers and the
@@ -39,8 +41,6 @@ class PrimeRule:
 
 @dataclass(frozen=True)
 class AllPrimes(PrimeRule):
-    label: str = "all"
-
     def mask(self, primes: np.ndarray) -> np.ndarray:
         return np.ones(len(primes), dtype=bool)
 
@@ -87,8 +87,6 @@ class ListRule(PrimeRule):
 class MultFunc:
     """Base: completely multiplicative, |f(n)| <= 1, f(1) = 1."""
 
-    exact_int = False  # True when all values lie in {-1, 0, 1}
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         """f(p) for an int64 array of primes: int8 for {-1,0,1}-valued kinds."""
         raise NotImplementedError
@@ -98,20 +96,15 @@ class MultFunc:
         return self.prime_values(np.array([p], dtype=np.int64))[0].item()
 
     @property
-    def label(self) -> str:
-        return type(self).__name__
+    def exact_int(self) -> bool:
+        """True when f takes only the values -1, 0, 1: `prime_values` is int8."""
+        return self.prime_values(np.empty(0, dtype=np.int64)).dtype == np.int8
 
 
 @dataclass(frozen=True)
 class One(MultFunc):
-    exact_int = True
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         return np.ones(len(primes), dtype=np.int8)
-
-    @property
-    def label(self) -> str:
-        return "one"
 
 
 @dataclass(frozen=True)
@@ -119,16 +112,11 @@ class SignRule(MultFunc):
     """f(p) = -1 where the rule matches, +1 elsewhere."""
 
     rule: PrimeRule
-    exact_int = True
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         out = np.ones(len(primes), dtype=np.int8)
         out[self.rule.mask(primes)] = -1
         return out
-
-    @property
-    def label(self) -> str:
-        return f"sign({self.rule})"
 
 
 @dataclass(frozen=True)
@@ -137,33 +125,17 @@ class Indicator(MultFunc):
     integers generated by the matching primes."""
 
     rule: PrimeRule
-    exact_int = True
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         return self.rule.mask(primes).astype(np.int8)
-
-    @property
-    def label(self) -> str:
-        return f"smoothset({self.rule})"
 
 
 @dataclass(frozen=True)
 class CharacterMF(MultFunc):
     chi: DirichletCharacter
 
-    @property
-    def exact_int(self):  # type: ignore[override]
-        return self.chi.is_real
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
-        tab = self.chi.values_exact()
-        if tab is not None:
-            return tab[primes % self.chi.q]
         return self.chi.values()[primes % self.chi.q]
-
-    @property
-    def label(self) -> str:
-        return f"char:{self.chi.q}:{','.join(map(str, self.chi.exponents))}"
 
 
 @dataclass(frozen=True)
@@ -172,18 +144,10 @@ class ArchTwist(MultFunc):
 
     t: float
 
-    @property
-    def exact_int(self):  # type: ignore[override]
-        return self.t == 0.0
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         if self.t == 0.0:
             return np.ones(len(primes), dtype=np.int8)
         return np.exp(1j * self.t * np.log(primes.astype(np.float64)))
-
-    @property
-    def label(self) -> str:
-        return f"nit:{self.t}"
 
 
 @dataclass(frozen=True)
@@ -200,20 +164,12 @@ class PrimeTable(MultFunc):
             if abs(v) > 1 + 1e-12:
                 raise DomainError(f"|f({p})| = {abs(v)} exceeds 1")
 
-    @property
-    def exact_int(self):  # type: ignore[override]
-        return all(v in (-1, 0, 1) for _, v in self.items)
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         d = dict(self.items)
         vals = [d.get(int(p), 1) for p in primes]
-        if self.exact_int:
+        if all(v in (-1, 0, 1) for _, v in self.items):
             return np.array([int(complex(v).real) for v in vals], dtype=np.int8)
         return np.array(vals, dtype=np.complex128)
-
-    @property
-    def label(self) -> str:
-        return f"table[{len(self.items)}]"
 
 
 @dataclass(frozen=True)
@@ -221,7 +177,6 @@ class RandomSign(MultFunc):
     """Seed-fixed random f(p) in {-1, +1}, stable across sieve sizes."""
 
     seed: int
-    exact_int = True
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         x = primes.astype(np.uint64) ^ np.uint64(self.seed * 0x9E3779B97F4A7C15 % (1 << 64))
@@ -232,10 +187,6 @@ class RandomSign(MultFunc):
             z = z ^ (z >> np.uint64(31))
         return (1 - 2 * (z & np.uint64(1)).astype(np.int8)).astype(np.int8)
 
-    @property
-    def label(self) -> str:
-        return f"randpm:{self.seed}"
-
 
 @dataclass(frozen=True)
 class PiecewiseZ(MultFunc):
@@ -245,42 +196,22 @@ class PiecewiseZ(MultFunc):
     above: MultFunc
     z: float
 
-    @property
-    def exact_int(self):  # type: ignore[override]
-        return self.below.exact_int and self.above.exact_int
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
         lo = self.below.prime_values(primes)
         hi = self.above.prime_values(primes)
         return np.where(primes <= self.z, lo, hi)
-
-    @property
-    def label(self) -> str:
-        return f"piecewise(z={self.z};{self.below.label};{self.above.label})"
 
 
 @dataclass(frozen=True)
 class ProductMF(MultFunc):
     factors: tuple[MultFunc, ...]
 
-    @property
-    def exact_int(self):  # type: ignore[override]
-        return all(f.exact_int for f in self.factors)
-
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
-        if self.exact_int:
-            out = np.ones(len(primes), dtype=np.int8)
-            for f in self.factors:
-                out = out * f.prime_values(primes)
-            return out.astype(np.int8)
-        out = np.ones(len(primes), dtype=np.complex128)
+        """int8 while the factors are; complex from the first complex factor on."""
+        out = np.ones(len(primes), dtype=np.int8)
         for f in self.factors:
             out = out * f.prime_values(primes)
         return out
-
-    @property
-    def label(self) -> str:
-        return "*".join(f.label for f in self.factors)
 
 
 def legendre(q: int) -> CharacterMF:
@@ -309,10 +240,6 @@ def eval_at(f: MultFunc, n: int) -> complex:
     out: complex = 1
     for p, e in factor(n):
         out *= f.prime_value(p) ** e
-    if isinstance(out, complex) and out.imag == 0 and float(out.real).is_integer():
-        r = out.real
-        if r in (-1.0, 0.0, 1.0):
-            return int(r)
     return out
 
 
@@ -341,8 +268,7 @@ def eval_range(f: MultFunc, x: int) -> np.ndarray:
             return vals[: x + 1]
     primes = get_sieve(max(x, 1)).primes_upto(x)
     pv = f.prime_values(primes)
-    exact = f.exact_int and pv.dtype == np.int8
-    vals = np.ones(x + 1, dtype=np.int8 if exact else np.complex128)
+    vals = np.ones(x + 1, dtype=np.int8 if pv.dtype == np.int8 else np.complex128)
     vals[0] = 0
     for p, fp in zip(primes.tolist(), pv.tolist()):
         q = p
@@ -414,8 +340,7 @@ def mean_value(
         if vals.dtype == np.int8:
             return int(np.sum(vals, dtype=np.int64))
         return fsum_complex(vals[1:])
-    ct = chi.values_exact()
-    return periodic_sum(f, np.conj(chi.values()) if ct is None else ct, x)
+    return periodic_sum(f, np.conj(chi.values()), x)
 
 
 def mu_mean(f: MultFunc, x: int) -> complex:

@@ -176,10 +176,11 @@ def rank_characters(f: MultFunc, X: float, q: int) -> CharacterRanking:
     n = np.arange(hi + 1)
     entries = []
     for idx, chi in enumerate(enumerate_characters(q)):
-        if chi.is_real and vals.dtype == np.int8:
-            sums = np.cumsum(vals.astype(np.int64) * chi.table(exact=True)[n % q])
+        tab = chi.table()
+        if tab.dtype == vals.dtype == np.int8:
+            sums = np.cumsum(vals.astype(np.int64) * tab[n % q])
         else:
-            sums = np.cumsum(vals.astype(np.complex128) * np.conj(chi.table())[n % q])
+            sums = np.cumsum(vals.astype(np.complex128) * np.conj(tab)[n % q])
         s = float(np.max(np.abs(sums[pts]) / pts))
         entries.append((idx, chi, s))
     entries.sort(key=lambda e: (-e[2], e[0]))

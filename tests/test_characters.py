@@ -136,6 +136,17 @@ def test_characters_match_their_definitions():
     assert DirichletCharacter(12, (1, 0)).restrict(4) == DirichletCharacter(4, (1,))
 
 
+def test_value_tables_are_int8_exactly_for_real_characters():
+    """values() and table() are int8 for a real character and complex128
+    otherwise, and equal chi(n) entrywise."""
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            want = [chi(n) for n in range(q)]
+            for tab in (chi.values(), chi.table()):
+                assert tab.dtype == (np.int8 if chi.is_real else np.complex128), (q, chi.exponents)
+                assert tab.tolist() == want, (q, chi.exponents)
+
+
 def test_gauss_sums():
     assert abs(gauss_sum(enumerate_characters(2)[0]) - (-1)) < 1e-12
     g5 = gauss_sum(legendre(5).chi)

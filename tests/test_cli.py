@@ -197,6 +197,17 @@ def test_exit_codes(tmp_path):
         (["expsum", "predict", "f=one", "alpha=1/3", "x=100", "J=0"], 1),
         (["expsum", "predict", "f=one", "alpha=1/3", "x=100", "J=-1"], 1),
         (["pretend", "f=one", "x=100", "q=5", "J=-2"], 1),
+        (["arcs", "alpha=1/3", "x=1000", "eps=400"], 1),
+        (["arcs", "alpha=1/3", "x=1000", "eps=-400"], 1),
+        (["arcs", "alpha=1/3", "x=1000", "eps=-1"], 1),
+        (["arcs", "alpha=1/3", "x=1000", "eps=0"], 1),
+        (["expsum", "predict", "f=one", "alpha=1/3", "x=1000", "eps=400"], 1),
+        (["expsum", "scan", "f=one", "x=100", "grid=3", "eps=400"], 1),
+        (["expsum", "scan", "f=one", "x=0", "grid=3"], 1),
+        (["energy", "f=one", "x=100", "eps=400"], 1),
+        (["arcs", "alpha=1/3", "x=1000", "--seed", "7"], 2),
+        (["twisted", "f=one", "h=one", "q=-5", "x=100"], 1),
+        (["twisted", "f=one", "h=one", "q=0", "x=100"], 1),
     ]
     for args, code in env_runs:
         r = subprocess.run(

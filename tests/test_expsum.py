@@ -50,6 +50,7 @@ from pretsums.multfunc import (
     eval_range,
     legendre,
     liouville,
+    mean_value,
     periodic_sum,
     twist,
 )
@@ -109,6 +110,19 @@ def test_predict_theorem1_rejects_tiny_x(x):
         thresholds(x)
     with pytest.raises(DomainError):
         predict_theorem1(One(), 1, 1, 0.0, x)
+
+
+def test_thresholds_take_eps_in_zero_one():
+    """eps outside (0, 1] is a domain error before any arc is laid down."""
+    _, Q1 = thresholds(2**30, 1.0)
+    assert 3900 < Q1 < 4100
+    for eps in (0.0, -1.0, 1.0001, 400.0):
+        with pytest.raises(DomainError):
+            thresholds(1000, eps)
+        with pytest.raises(DomainError):
+            classify_alpha(Fraction(1, 3), 1000, eps)
+        with pytest.raises(DomainError):
+            minor_arc_energy(One(), 100, eps=eps)
 
 
 @given(st.floats(min_value=0.0, max_value=0.999999))
@@ -398,6 +412,16 @@ def test_pls_tail_decay(sieve):
         assert vals[1] <= vals[0]
 
 
+def test_pls_tail_rejects_a_frame_count_below_one(sieve):
+    """J = 1 sums every character; J < 1 is a domain error, as in select_frames."""
+    f = legendre(5)
+    every = sum(abs(mean_value(f, 10**4, chi)) ** 2 for chi in enumerate_characters(5))
+    assert pls_tail(f, 10**4, 5, 1) == pytest.approx(every, rel=1e-12)
+    for J in (0, -1):
+        with pytest.raises(DomainError):
+            pls_tail(f, 10**4, 5, J)
+
+
 @pytest.mark.parametrize("order", [3, 6])
 @pytest.mark.parametrize("t", [0.0, 0.4, -2.2])
 def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
@@ -413,10 +437,10 @@ def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
             if p == 7:
                 continue
             fj, psip = complex(v[p]), psi(p)
-            assert kappa.at_prime_power(p, 1) == psip * (fj - 1), (f.label, p)
-            assert kappa.at_prime_power(p, 2) == psip**2 * (fj**2 - fj), (f.label, p)
+            assert kappa.at_prime_power(p, 1) == psip * (fj - 1), (f, p)
+            assert kappa.at_prime_power(p, 2) == psip**2 * (fj**2 - fj), (f, p)
             coeff = theorem1_coefficient(kappa, 1, 7 * p)
-            assert coeff == gauss * (psip * (fj - 1)), (f.label, p)
+            assert coeff == gauss * (psip * (fj - 1)), (f, p)
 
 
 def test_rel_discrepancy_undefined_at_zero():

@@ -296,45 +296,49 @@ _RULES = {
     "gt": (ThresholdRule("gt", 10.0), lambda p: p > 10),
     "in": (ListRule(frozenset({3, 11})), lambda p: p in (3, 11)),
 }
-_KINDS = {
-    "one": (One(), lambda p: 1),
-    **{f"sign:{k}": (SignRule(r), lambda p, m=m: 1 - 2 * m(p)) for k, (r, m) in _RULES.items()},
-    **{f"smoothset:{k}": (Indicator(r), lambda p, m=m: int(m(p))) for k, (r, m) in _RULES.items()},
-    "legendre:5": (legendre(5), lambda p: _legendre(5, p)),
-    "char:7:1": (CharacterMF(DirichletCharacter(7, (1,))), _chi7),
-    "nit:0": (ArchTwist(0.0), lambda p: 1),
-    "nit:0.7": (ArchTwist(0.7), lambda p: cmath.exp(0.7j * math.log(p))),
-    "table:int": (PrimeTable(((2, -1), (3, 0))), lambda p: {2: -1, 3: 0}.get(p, 1)),
-    "table:complex": (PrimeTable(((2, -1), (5, 0.6j))), lambda p: {2: -1, 5: 0.6j}.get(p, 1)),
-    "randpm:9": (RandomSign(9), lambda p: _splitmix_sign(9, p)),
+_KINDS = {  # name: (f, f(p) by its definition, whether f takes only -1, 0, 1)
+    "one": (One(), lambda p: 1, True),
+    **{f"sign:{k}": (SignRule(r), lambda p, m=m: 1 - 2 * m(p), True) for k, (r, m) in _RULES.items()},
+    **{f"smoothset:{k}": (Indicator(r), lambda p, m=m: int(m(p)), True) for k, (r, m) in _RULES.items()},
+    "legendre:5": (legendre(5), lambda p: _legendre(5, p), True),
+    "char:7:1": (CharacterMF(DirichletCharacter(7, (1,))), _chi7, False),
+    "nit:0": (ArchTwist(0.0), lambda p: 1, True),
+    "nit:0.7": (ArchTwist(0.7), lambda p: cmath.exp(0.7j * math.log(p)), False),
+    "table:int": (PrimeTable(((2, -1), (3, 0))), lambda p: {2: -1, 3: 0}.get(p, 1), True),
+    "table:complex": (PrimeTable(((2, -1), (5, 0.6j))), lambda p: {2: -1, 5: 0.6j}.get(p, 1), False),
+    "randpm:9": (RandomSign(9), lambda p: _splitmix_sign(9, p), True),
     "piecewise": (
         PiecewiseZ(RandomSign(4), legendre(3), 20.0),
         lambda p: _splitmix_sign(4, p) if p <= 20 else _legendre(3, p),
+        True,
     ),
-    "product:int": (ProductMF((liouville(), legendre(3))), lambda p: -_legendre(3, p)),
+    "product:int": (ProductMF((liouville(), legendre(3))), lambda p: -_legendre(3, p), True),
     "product:complex": (
         ProductMF((RandomSign(2), CharacterMF(DirichletCharacter(7, (1,))), ArchTwist(-1.5))),
         lambda p: _splitmix_sign(2, p) * _chi7(p) * cmath.exp(-1.5j * math.log(p)),
+        False,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_KINDS))
 def test_prime_value_of_every_kind_and_rule(sieve, name):
-    """prime_value reads prime_values, agrees with each kind's definition, and is
-    a Python int for {-1,0,1}-valued kinds, as eval_at needs."""
-    f, want = _KINDS[name]
+    """prime_value reads prime_values and agrees with each kind's definition;
+    exactly the {-1,0,1}-valued kinds give int8 values, exact_int and Python
+    int prime values, as eval_at needs."""
+    f, want, exact = _KINDS[name]
+    assert f.exact_int is exact
     primes = sieve.primes_upto(300)
     vals = f.prime_values(primes)
-    assert vals.dtype == (np.int8 if f.exact_int else np.complex128)
+    assert vals.dtype == (np.int8 if exact else np.complex128)
     for k, p in enumerate(primes.tolist()):
         v = f.prime_value(p)
         assert v == vals[k]
-        if f.exact_int:
+        if exact:
             assert type(v) is int and v == want(p), (name, p, v)
         else:
             assert type(v) is complex and abs(v - want(p)) < 1e-14, (name, p, v)
-    if f.exact_int:
+    if exact:
         assert eval_at(f, 2 * 3 * 3 * 101) == want(2) * want(3) ** 2 * want(101)
 
 
