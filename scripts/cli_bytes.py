@@ -151,6 +151,15 @@ INPUT_BOUNDARY = [
     "energy f=one x=100 eps=400",
     "arcs alpha=1/3 x=1000 --seed 7",
     "twisted f=one h=one q=-5 x=100",
+    "pretend f=one x=-4 q=3",
+    "twisted f=one h=kloosterman:1,1 q=7 x=-3",
+    "pretend f=one x=0 q=3",
+    "pretend f=one x=1 q=3",
+    "pretend f=one x=2 q=3",
+    "twisted f=one h=one q=1 x=0",
+    "twisted f=one h=one q=1 x=1",
+    "twisted f=one h=one q=1 x=2",
+    "expsum predict f=legendre:5 alpha=2/5 x=3",
 ]
 
 

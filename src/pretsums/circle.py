@@ -248,12 +248,12 @@ def _power_weights(base: complex, e: int) -> np.ndarray:
     return out
 
 
-def _dagger_weights(f: MultFunc, frame: Frame, p: int, e: int) -> np.ndarray:
-    """f-dagger values at p^k, k = 0..e: the powers of f(p) p^{-it} off the
-    conductor, the powers of 0 (the k = 0 spike) on it."""
-    if frame.r % p == 0:
+def _dagger_weights(fr: Frame, p: int, e: int) -> np.ndarray:
+    """f-dagger values at p^k, k = 0..e, f the frame's function: the powers
+    of f(p) p^{-it} off the conductor, the powers of 0 (the k = 0 spike) on it."""
+    if fr.r % p == 0:
         return _power_weights(0, e)
-    return _power_weights(twist(f, DirichletCharacter(1, ()), frame.t).prime_value(p), e)
+    return _power_weights(twist(fr.f, DirichletCharacter(1, ()), fr.t).prime_value(p), e)
 
 
 def euler_factor_E(
@@ -265,7 +265,7 @@ def euler_factor_E(
     """The finite-modulus local factor at p: the exact residue sum mod p^e,
     e the smallest exponent with p^e > z^2."""
     e = smallest_cap_exponent(p, z)
-    weights = [_dagger_weights(fn, fr, p, e) for fn, fr in zip((prob.f, prob.g, prob.h), frames)]
+    weights = [_dagger_weights(fr, p, e) for fr in frames]
     if prob.mode == "linear":
         return local_triple_sum(p, e, weights, [prob.a, prob.b, -prob.c], 0)
     return local_triple_sum(p, e, weights, [1, 1, 1], prob.N % p**e)
@@ -474,16 +474,18 @@ class TripleReport:
         }
 
 
+PMAX = 10**6  # the real-unit route takes the E* product over p <= PMAX
+
+
 def predict_triples(
     prob: TripleProblem,
     z: float | None = None,
-    pmax: int = 10**6,
 ) -> TripleReport:
     """Density prediction against the exact convolution oracle.
 
     Real {-1,0,1}-valued weights with principal frames use the product of the
     three plain mean values times the E* local product (extended over all
-    p <= pmax where closed forms apply, with the truncation tail reported).
+    p <= PMAX where closed forms apply, with the truncation tail reported).
     Everything else takes the generic route: large-prime mean values times
     2 E(infinity) x^{it} delta times the finite-modulus local factors.
     """
@@ -506,7 +508,7 @@ def predict_triples(
 
     if real_ok:
         mus = [complex(mu_mean(fn, x)).real for fn in (prob.f, prob.g, prob.h)]
-        primes = get_sieve(pmax).primes_upto(pmax)
+        primes = get_sieve(PMAX).primes_upto(PMAX)
         N = prob.N if prob.mode == "partition" else None
         values = [fn.prime_values(primes) for fn in (prob.f, prob.g, prob.h)]
         closed, form = estar_table(primes, values, N)
@@ -519,13 +521,13 @@ def predict_triples(
             ep_list.append((int(p), val))
             local *= val
         predicted = mus[0] * mus[1] * mus[2] * local
-        tail = 1.0 / (pmax * math.log(pmax))  # crude bound on sum_{p > pmax} (p-1)^{-2}
+        tail = 1.0 / (PMAX * math.log(PMAX))  # crude bound on sum_{p > PMAX} (p-1)^{-2}
         factors.update(
             {
                 "mu": mus,
                 "local_product": local,
                 "exact_local_factors": ep_list,
-                "pmax": pmax,
+                "pmax": PMAX,
                 "tail_bound": tail,
             }
         )
@@ -781,24 +783,20 @@ def fs_mean_over_sumset(
 
 def residue_triple_gate(
     N: int,
-    f: MultFunc,
-    g: MultFunc,
-    h: MultFunc,
     frames: tuple[Frame, Frame, Frame],
     coeffs: tuple[int, int, int] = (1, 1, -1),
 ) -> complex:
     """(1/N^2) sum over u, v, w mod N with a u + b v + c w = 0 of
-    f-dagger(u) g-dagger(v) h-dagger(w), the dagger built per prime power of
-    N with the frame's character riding along.  Vanishes exactly when the
-    product of the frame characters is non-principal."""
+    f-dagger(u) g-dagger(v) h-dagger(w), each dagger built per prime power of
+    N from its frame's f_j with the frame's character riding along.  Vanishes
+    exactly when the product of the frame characters is non-principal."""
     n = np.arange(N)
 
-    def dagger_table(fn: MultFunc, fr: Frame) -> np.ndarray:
-        star = twist(fn, fr.psi, fr.t)
+    def dagger_table(fr: Frame) -> np.ndarray:
         tab = np.ones(N, dtype=np.complex128)
         for p, e in factor(N):
-            tab *= _power_weights(star.prime_value(p), e)[_capped_valuations(p, e)[n % p**e]]
+            tab *= _power_weights(fr.f_j.prime_value(p), e)[_capped_valuations(p, e)[n % p**e]]
         return tab * fr.psi.values()[n % fr.psi.q]
 
-    tables = [dagger_table(fn, fr) for fn, fr in zip((f, g, h), frames)]
+    tables = [dagger_table(fr) for fr in frames]
     return residue_triple_sum(N, tables, list(coeffs))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
@@ -180,15 +181,7 @@ def _cmd_expsum(kv, flags, action):
 
 
 def _cmd_scan(kv, flags, f, x):
-    from .expsum import (
-        _mark_major,
-        classify_alpha,
-        exponential_sum_grid,
-        frame_term,
-        theorem1_coefficient,
-        thresholds,
-    )
-    from .multfunc import KappaFunction, mean_value, twist
+    from .expsum import _mark_major, arc_main_term, classify_alpha, exponential_sum_grid, thresholds
     from .pretentious import select_global_frame
 
     M = _int(kv, "grid")
@@ -197,8 +190,6 @@ def _cmd_scan(kv, flags, f, x):
     eps = _float(kv, "eps", 0.1)
     thresholds(x, eps)  # x and eps are checked before the frame search
     frame = select_global_frame(f, x)
-    S = mean_value(twist(f, frame.psi, frame.t), x)
-    kappa = KappaFunction(f, frame.psi, frame.t)
     grid_R = exponential_sum_grid(f, x, M)
     marked = _mark_major(M, x, eps)  # every major row is marked; classify_alpha decides these
     rows = []
@@ -209,9 +200,7 @@ def _cmd_scan(kv, flags, f, x):
         if marked[k]:
             arc = classify_alpha(Fraction(k, M), x, eps)
             regime = arc.regime
-            if regime == "major" and arc.q % frame.r == 0:
-                coeff = theorem1_coefficient(kappa, arc.a, arc.q)
-                Mv = frame_term(1, frame, coeff, x, arc.beta, arc.q, S).value
+            Mv = arc_main_term(frame, arc)
         rows.append([_fmt(k / M), _fmt(abs(Rv)), regime, _fmt(abs(Mv)), _fmt(abs(Rv - Mv))])
     header = ["alpha", "absR", "regime", "absM", "absE"]
     obj = {"x": x, "grid": M, "rows": [dict(zip(header, r)) for r in rows]}
@@ -371,8 +360,14 @@ def render(result, flags) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """One stderr line per warning, free of the source path and line."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         result, flags = _dispatch(argv)
         text = render(result, flags)
@@ -382,6 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = saved
     if flags["out"]:
         with open(flags["out"], "w", encoding="utf-8") as fh:
             fh.write(text)

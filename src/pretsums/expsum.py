@@ -9,12 +9,14 @@ f.  The predictors assemble, per ranked frame (psi_j mod r_j, t_j), the term
 
 plus the literal error budget; they report the discrepancy against the
 oracle rather than asserting any unproved bound.  Every main term, including
-the single-frame M_f of arc_decompose_Rf and the CLI scan, comes from one
-builder: frame_term multiplies a coefficient by I and S and divides by
-phi(q).  theorem1_coefficient is the closed-form coefficient shown above;
-predict_twisted sums twisted_coefficient over the divisors of q for any h of
-period q, and ap_sum is predict_twisted with h the indicator of a mod q.
-Arcs are classified by continued-fraction convergents.
+the single-frame M_f of arc_main_term (arc_decompose_Rf and the CLI scan),
+comes from one builder: frame_term multiplies a coefficient by I at the
+frame's x and t and by the frame's S_{f_j}(x), and divides by phi(q).  The
+consumer supplies only the coefficient; the pretentious.Frame supplies
+kappa, f_j and S.  theorem1_coefficient is the closed-form coefficient shown
+above; predict_twisted sums twisted_coefficient over the divisors of q for
+any h of period q, and ap_sum is predict_twisted with h the indicator of
+a mod q.  Arcs are classified by continued-fraction convergents.
 """
 
 from __future__ import annotations
@@ -29,18 +31,9 @@ import numpy as np
 
 from .characters import DirichletCharacter, PeriodicFunction, periodic_from_table, pseudo_gauss
 from .errors import DomainError
-from .multfunc import (
-    KappaFunction,
-    MultFunc,
-    eval_range,
-    fsum_complex,
-    k_factor,
-    mean_value,
-    periodic_sum,
-    twist,
-)
+from .multfunc import MultFunc, eval_range, fsum_complex, k_factor, mean_value, periodic_sum
 from .oscint import I_value
-from .pretentious import Frame, select_frames, select_global_frame
+from .pretentious import Frame, _frame, rank_characters, select_frames, select_global_frame
 from .sieve import divisors, euler_phi, get_sieve
 
 TAU = (2.0 - math.sqrt(2.0)) / 3.0
@@ -295,34 +288,27 @@ def err_budget(x: int, q: int, J: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theorem1_coefficient(kappa: KappaFunction, a: int, q: int) -> complex:
-    """conj(psi)(a) g(psi) kappa(q/r) at a/q for the frame (psi mod r, t) of kappa."""
-    psi = kappa.psi
-    return psi.conjugate()(a) * psi.gauss_sum() * kappa.eval(q // psi.q)
+def theorem1_coefficient(fr: Frame, a: int, q: int) -> complex:
+    """conj(psi)(a) g(psi) kappa(q/r) at a/q for the frame (psi mod r, t)."""
+    psi = fr.psi
+    return psi.conjugate()(a) * psi.gauss_sum() * fr.kappa.eval(q // fr.r)
 
 
-def frame_term(
-    j: int, fr: Frame, coeff: complex, x: int, beta: float, q: int, S: complex
-) -> FrameTerm:
-    """The main term coeff I(x, beta, t) S_{f_j}(x) / phi(q) of frame fr."""
-    Ival = I_value(x, beta, fr.t)
-    value = coeff * Ival * S / euler_phi(q)
-    return FrameTerm(j, fr.chi.exponents, fr.r, fr.t, complex(coeff), Ival, complex(S), value)
+def frame_term(j: int, fr: Frame, coeff: complex, beta: float, q: int) -> FrameTerm:
+    """The main term coeff I(x, beta, t) S_{f_j}(x) / phi(q) of frame fr at its x."""
+    Ival = I_value(fr.x, beta, fr.t)
+    value = coeff * Ival * fr.S / euler_phi(q)
+    return FrameTerm(j, fr.chi.exponents, fr.r, fr.t, complex(coeff), Ival, complex(fr.S), value)
 
 
 def _frame_terms(
-    f: MultFunc,
     frames: list[Frame],
-    x: int,
     beta: float,
     q: int,
     coefficient: Callable[[Frame], complex],
 ) -> tuple[list[FrameTerm], complex]:
     """frame_term for each frame with coefficient(frame), and their sum in frame order."""
-    terms = []
-    for j, fr in enumerate(frames, start=1):
-        S = mean_value(twist(f, fr.psi, fr.t), x)
-        terms.append(frame_term(j, fr, coefficient(fr), x, beta, q, S))
+    terms = [frame_term(j, fr, coefficient(fr), beta, q) for j, fr in enumerate(frames, start=1)]
     return terms, sum((t.value for t in terms), 0.0 + 0.0j)
 
 
@@ -349,29 +335,20 @@ def predict_theorem1(
 
         warnings.warn(f"q={q} is outside the supported range q <= Q1 = {Q1:.1f}; computing anyway")
     frames = select_frames(f, x, q, J)
-    terms, total = _frame_terms(
-        f, frames, x, beta, q,
-        lambda fr: theorem1_coefficient(KappaFunction(f, fr.psi, fr.t), a, q),
-    )
+    terms, total = _frame_terms(frames, beta, q, lambda fr: theorem1_coefficient(fr, a, q))
     oracle = direct_sum_rational(f, a, q, beta, x)
     budget = (1.0 + abs(beta) * x) * err_budget(x, q, J)
     return PredictionReport(oracle=oracle, predicted=total, terms=terms, err_budget=budget)
 
 
-def twisted_coefficient(
-    f: MultFunc,
-    h: PeriodicFunction,
-    fr: Frame,
-) -> complex:
+def twisted_coefficient(h: PeriodicFunction, fr: Frame) -> complex:
     """c_j = sum over r_j | n | q of k_j(n) kappa_j(q/n) G_h(n; psi_j)."""
     q = h.period
-    kappa = KappaFunction(f, fr.psi, fr.t)
-    f_j = twist(f, fr.psi, fr.t)
     total = 0.0 + 0.0j
     for n in divisors(q):
         if n % fr.r:
             continue
-        total += k_factor(f_j, n) * kappa.eval(q // n) * pseudo_gauss(h, n, fr.psi)
+        total += k_factor(fr.f_j, n) * fr.kappa.eval(q // n) * pseudo_gauss(h, n, fr.psi)
     return total
 
 
@@ -384,7 +361,7 @@ def predict_twisted(
     """Prediction for sum_{n <= x} f(n) h(n), h of period q, via pseudo-Gauss sums."""
     q = h.period
     frames = select_frames(f, x, q, J)
-    terms, total = _frame_terms(f, frames, x, 0.0, q, lambda fr: twisted_coefficient(f, h, fr))
+    terms, total = _frame_terms(frames, 0.0, q, lambda fr: twisted_coefficient(h, fr))
     oracle = periodic_sum(f, h.table, x)
     return PredictionReport(oracle=oracle, predicted=total, terms=terms, err_budget=float("nan"))
 
@@ -409,20 +386,11 @@ def s_f_chi_predict(
 ) -> PredictionReport:
     """S_f(x/ell, chi) against I(x,0,t)/ell^{1+it} k_j(q) S_{f_j}(x), where f_j is f twisted
     by the primitive psi inducing chi and t, and k_j(q) = prod_{p|q}(1 - f_j(p)/p)."""
-    from .pretentious import select_t
-
-    psi, r = chi.primitive()
-    g = twist(f, psi, 0.0)
-    t = select_t(g, x, math.log(x))
-    f_j = twist(f, psi, t)
-    S = mean_value(f_j, x)
-    prod = k_factor(f_j, chi.q)
-    Ival = I_value(x, 0.0, t)
-    predicted = Ival / ell ** (1.0 + 1j * t) * prod * S
+    fr = _frame(f, x, chi, chi.primitive()[0])
+    term = frame_term(1, fr, k_factor(fr.f_j, chi.q) / ell ** (1 + 1j * fr.t), 0.0, 1)
     oracle = mean_value(f, x // ell, chi)
-    term = FrameTerm(1, chi.exponents, r, t, complex(prod / ell ** (1 + 1j * t)), Ival, complex(S), complex(predicted))
     return PredictionReport(
-        oracle=complex(oracle), predicted=complex(predicted), terms=[term], err_budget=float("nan")
+        oracle=complex(oracle), predicted=complex(term.value), terms=[term], err_budget=float("nan")
     )
 
 
@@ -440,37 +408,23 @@ class ArcSplit:
     frame_r: int
     r_divides_q: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "arc": self.arc.to_dict(),
-            "R": [self.R.real, self.R.imag],
-            "M": [self.M.real, self.M.imag],
-            "E": [self.E.real, self.E.imag],
-            "frame_r": self.frame_r,
-            "r_divides_q": self.r_divides_q,
-        }
+
+def arc_main_term(frame: Frame, arc: ArcDecomposition) -> complex:
+    """M_f at the arc from one frame at the arc's x: the Theorem-1 term at
+    a/q + beta on a major arc with r | q, and 0 otherwise."""
+    if arc.regime != "major" or arc.q % frame.r:
+        return 0.0 + 0.0j
+    return frame_term(1, frame, theorem1_coefficient(frame, arc.a, arc.q), arc.beta, arc.q).value
 
 
-def arc_decompose_Rf(
-    f: MultFunc,
-    alpha,
-    x: int,
-    eps: float = 0.1,
-    frame: Frame | None = None,
-) -> ArcSplit:
+def arc_decompose_Rf(f: MultFunc, alpha, x: int, eps: float = 0.1) -> ArcSplit:
     """R_f = M_f + E_f with the single global frame; M_f = 0 on minor arcs
     and carries the r | q indicator on major ones."""
     arc = classify_alpha(alpha, x, eps)
-    if frame is None:
-        frame = select_global_frame(f, x)
+    frame = select_global_frame(f, x)
     R = direct_sum_rational(f, arc.a, arc.q, arc.beta, x)
-    r_div = arc.q % frame.r == 0
-    M = 0.0 + 0.0j
-    if arc.regime == "major" and r_div:
-        coeff = theorem1_coefficient(KappaFunction(f, frame.psi, frame.t), arc.a, arc.q)
-        S = mean_value(twist(f, frame.psi, frame.t), x)
-        M = frame_term(1, frame, coeff, x, arc.beta, arc.q, S).value
-    return ArcSplit(arc=arc, R=R, M=complex(M), E=complex(R - M), frame_r=frame.r, r_divides_q=r_div)
+    M = complex(arc_main_term(frame, arc))
+    return ArcSplit(arc, R, M, complex(R - M), frame.r, arc.q % frame.r == 0)
 
 
 def exponential_sum_grid(f: MultFunc, x: int, M: int) -> np.ndarray:
@@ -619,16 +573,6 @@ class BoundReport:
     bound_refined: float  # x/log x + x/sqrt(q(1+|beta|x))
     ratios: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "arc": self.arc.to_dict(),
-            "absR": self.absR,
-            "bound_general": self.bound_general,
-            "bound_folklore": self.bound_folklore,
-            "bound_refined": self.bound_refined,
-            "ratios": self.ratios,
-        }
-
 
 def bound_report(f: MultFunc, alpha, x: int, eps: float = 0.1) -> BoundReport:
     """|R_f| against the three bound shapes with unit implied constants."""
@@ -672,9 +616,9 @@ def identity_41_residual(f: MultFunc, a: int, q: int, beta: float, x: int) -> fl
 
 
 def pls_tail(f: MultFunc, x: int, q: int, J: int = 3) -> float:
-    """sum over chi mod q outside the top J-1 of |S_f(x, chi)|^2; J >= 1."""
-    from .pretentious import rank_characters
-
+    """sum over chi mod q outside the top J-1 of |S_f(x, chi)|^2; x >= 3, J >= 1."""
+    if x < 3:
+        raise DomainError(f"pls_tail needs x >= 3, got {x}")
     if J < 1:
         raise DomainError(f"the frame count J must be >= 1, got {J}")
     ranking = rank_characters(f, math.sqrt(x), q)

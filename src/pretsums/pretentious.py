@@ -1,24 +1,26 @@
-"""Selection of maximizing twist parameters (psi, t) and character rankings.
+"""Frames of f at scale x: the twist parameters (psi, t) and what they fix.
 
 The score of a candidate twist is the Euler-product modulus
-|F(1 + 1/log x + it)| of the twisted function over primes up to x.  Ranking
-characters mod q instead uses the windowed partial-sum statistic
-s_f(X, chi) = max |S_f(v, chi)| / v sampled on a geometric grid, which is
-what the arithmetic-progression and exponential-sum predictors order their
-frames by.
+|F(1 + 1/log x + it)| of the twisted function over primes up to x, and t
+maximizes it over [-log x, log x].  Ranking characters mod q instead uses the
+windowed partial-sum statistic s_f(X, chi) = max |S_f(v, chi)| / v sampled on
+a geometric grid, which is what the arithmetic-progression and
+exponential-sum predictors order their frames by.  A Frame carries f and x
+with (psi, t), and builds each main-term input of the frame once: the twisted
+f_j, its kappa and S_{f_j}(x).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .characters import DirichletCharacter, enumerate_characters
 from .errors import DomainError
-from .multfunc import MultFunc, eval_range, twist
+from .multfunc import KappaFunction, MultFunc, eval_range, mean_value, twist
 from .sieve import get_sieve
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,8 +64,8 @@ _COARSE_CUT = 100_000
 
 
 @lru_cache(maxsize=512)
-def select_t(f: MultFunc, x: int, T: float) -> float:
-    """The t in [-T, T] maximizing |F(1 + 1/log x + it)|.
+def select_t(f: MultFunc, x: int) -> float:
+    """The t in [-T, T], T = log x, maximizing |F(1 + 1/log x + it)|.
 
     Uniform grid of step 1/(4 log x) (symmetric, containing 0) plus a
     golden-section refinement to width 1e-4 around the best grid point.
@@ -76,12 +78,7 @@ def select_t(f: MultFunc, x: int, T: float) -> float:
     """
     if x < 3:
         raise DomainError(f"select_t needs x >= 3, got {x}")
-    if not T >= 0:
-        raise DomainError(f"select_t needs a range T >= 0, got {T}")
-    if T > math.log(x) * (1 + 1e-9):
-        import warnings
-
-        warnings.warn(f"select_t range T={T} exceeds log x = {math.log(x):.3f}")
+    T = math.log(x)
     sigma = 1.0 + 1.0 / math.log(x)
     lnp, w, theta = _prime_data(f, x, sigma)
     if len(lnp) == 0:
@@ -136,15 +133,37 @@ def select_t(f: MultFunc, x: int, T: float) -> float:
 
 @dataclass(frozen=True)
 class Frame:
-    """One main-term frame: chi mod q ranked for f, its inducing primitive
-    psi mod r, and the maximizing t for the twisted function."""
+    """The frame of f at scale x: chi mod q ranked for f, its inducing
+    primitive psi mod r, and the maximizing t for the twisted function.
 
+    The main-term inputs of the frame are built here once, on first use:
+    kappa, f_j = f conj(psi) n^{-it} and S_{f_j}(x).  A consumer supplies
+    only its coefficient (expsum.frame_term)."""
+
+    f: MultFunc
+    x: int
     chi: DirichletCharacter
     psi: DirichletCharacter
-    r: int
     t: float
     score: float
     s_value: float = float("nan")
+
+    @property
+    def r(self) -> int:
+        return self.psi.q
+
+    @cached_property
+    def kappa(self) -> KappaFunction:
+        return KappaFunction(self.f, self.psi, self.t)
+
+    @property
+    def f_j(self) -> MultFunc:
+        return self.kappa.f_j
+
+    @cached_property
+    def S(self) -> complex:
+        """S_{f_j}(x)."""
+        return mean_value(self.f_j, self.x)
 
 
 @dataclass
@@ -197,8 +216,8 @@ def _frame(
     """The frame of chi (induced by the primitive psi): t maximizes the
     Euler-product modulus of f twisted by psi at scale x."""
     g = twist(f, psi, 0.0)
-    t = select_t(g, x, math.log(x))
-    return Frame(chi=chi, psi=psi, r=psi.q, t=t, score=dirichlet_modulus(g, x, t), s_value=s_value)
+    t = select_t(g, x)
+    return Frame(f, x, chi, psi, t, dirichlet_modulus(g, x, t), s_value)
 
 
 def select_frames(
@@ -209,7 +228,9 @@ def select_frames(
 ) -> list[Frame]:
     """Top J-1 frames for f mod q: rank by s_f(sqrt(x), .), then pick each
     frame's t as the maximizer for the psi-twisted function at scale x.
-    J = 1 gives no frames; J < 1 is a domain error."""
+    J = 1 gives no frames; J < 1 and x < 3 are domain errors."""
+    if x < 3:
+        raise DomainError(f"select_frames needs x >= 3, got {x}")
     if J < 1:
         raise DomainError(f"the frame count J must be >= 1, got {J}")
     ranking = rank_characters(f, math.sqrt(x), q)
@@ -280,14 +301,14 @@ class BrudernReport:
         return "bounded" if self.bounded else "growing"
 
 
-def brudern_check(
-    f: MultFunc,
-    x: int,
-    threshold: float = 0.5,
-) -> BrudernReport:
+BRUDERN_THRESHOLD = 0.5
+
+
+def brudern_check(f: MultFunc, x: int) -> BrudernReport:
     """Bounded-distance criterion: compare the distance at scales x and x^2
-    at the best frame; growth above the threshold means the distance diverges
-    (minor arcs then carry a positive share of the energy, and conversely).
+    at the best frame; growth above BRUDERN_THRESHOLD means the distance
+    diverges (minor arcs then carry a positive share of the energy, and
+    conversely).
     """
     x2 = x * x
     # frame selected at the base scale; the growth test then probes [x, x^2]
@@ -301,8 +322,8 @@ def brudern_check(
         distance_x=d1,
         distance_x2=d2,
         growth=growth,
-        threshold=threshold,
-        bounded=growth <= threshold,
+        threshold=BRUDERN_THRESHOLD,
+        bounded=growth <= BRUDERN_THRESHOLD,
     )
 
 
@@ -313,9 +334,7 @@ def brudern_check(
 
 def lemsumt_residual(f: MultFunc, x: int) -> float:
     """|S_f(x) - x^{it}/(1+it) S_{f n^{-it}}(x)| / x at t = t_f(x, log x)."""
-    from .multfunc import mean_value
-
-    t = select_t(f, x, math.log(x))
+    t = select_t(f, x)
     s_plain = mean_value(f, x)
     tw = twist(f, DirichletCharacter(1, ()), t)
     s_tw = mean_value(tw, x)
@@ -325,9 +344,7 @@ def lemsumt_residual(f: MultFunc, x: int) -> float:
 
 def adapt_residual(f: MultFunc, x: int, w: float) -> float:
     """|S_f(x/w) - w^{-(1+it)} S_f(x)| / (x/w) at t = t_f(x, log x)."""
-    from .multfunc import mean_value
-
-    t = select_t(f, x, math.log(x))
+    t = select_t(f, x)
     s_small = mean_value(f, int(x / w))
     s_big = mean_value(f, x)
     pred = w ** (-(1 + 1j * t)) * s_big

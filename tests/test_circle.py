@@ -117,9 +117,7 @@ def test_local_factor_brute_force(sieve):
     for p, (a, b, c) in [(2, (3, 1, 2)), (3, (3, 1, 2)), (5, (1, 1, 1)), (3, (1, 1, 1))]:
         e = 3
         pe = p**e
-        wf = _dagger_weights(f, frames[0], p, e)
-        wg = _dagger_weights(g, frames[1], p, e)
-        wh = _dagger_weights(h, frames[2], p, e)
+        wf, wg, wh = (_dagger_weights(fr, p, e) for fr in frames)
         v = _capped_valuations(p, e)
         brute = 0j
         for u in range(pe):
@@ -136,10 +134,10 @@ def test_local_factor_brute_force(sieve):
 def test_dagger_weights_spike_on_conductor():
     """Powers of f(p) p^{-it} off the conductor, the k = 0 spike on it."""
     f = legendre(5)
-    fr = Frame(chi=f.chi, psi=f.chi, r=5, t=0.3, score=1.0)
-    assert np.array_equal(_dagger_weights(f, fr, 5, 3), [1, 0, 0, 0])
+    fr = Frame(f=f, x=1000, chi=f.chi, psi=f.chi, t=0.3, score=1.0)
+    assert np.array_equal(_dagger_weights(fr, 5, 3), [1, 0, 0, 0])
     base = f.prime_value(3) * np.exp(-0.3j * math.log(3))
-    assert np.allclose(_dagger_weights(f, fr, 3, 3), [base**k for k in range(4)], rtol=0, atol=1e-15)
+    assert np.allclose(_dagger_weights(fr, 3, 3), [base**k for k in range(4)], rtol=0, atol=1e-15)
 
 
 def test_euler_factor_ones(sieve):
@@ -342,14 +340,14 @@ def test_fs_mean_over_sumset(sieve):
 
 def test_principality_gate(sieve):
     triv = DirichletCharacter(1, ())
-    fr1 = Frame(chi=triv, psi=triv, r=1, t=0.0, score=1.0)
+    fr1 = Frame(f=One(), x=1000, chi=triv, psi=triv, t=0.0, score=1.0)
     chi5 = legendre(5).chi
-    fr5 = Frame(chi=chi5, psi=chi5, r=5, t=0.0, score=1.0)
+    fr5 = Frame(f=One(), x=1000, chi=chi5, psi=chi5, t=0.0, score=1.0)
     # non-principal product: the residue sum vanishes exactly
-    g = residue_triple_gate(60, One(), One(), One(), (fr5, fr1, fr1))
+    g = residue_triple_gate(60, (fr5, fr1, fr1))
     assert abs(g) < 1e-9
     # all-principal: the sum is the full (weighted) solution density
-    g = residue_triple_gate(60, One(), One(), One(), (fr1, fr1, fr1))
+    g = residue_triple_gate(60, (fr1, fr1, fr1))
     assert abs(g - 1.0) < 1e-9
 
 
@@ -397,10 +395,9 @@ def test_residue_triple_gate_brute_force(N):
     triv = DirichletCharacter(1, ())
     chi5 = legendre(5).chi
     fns = (liouville(), One(), legendre(5))
-    frames = (
-        Frame(chi=chi5, psi=chi5, r=5, t=0.0, score=1.0),
-        Frame(chi=triv, psi=triv, r=1, t=0.4, score=1.0),
-        Frame(chi=chi5, psi=chi5, r=5, t=-0.25, score=1.0),
+    frames = tuple(
+        Frame(f=fn, x=1000, chi=psi, psi=psi, t=t, score=1.0)
+        for fn, psi, t in zip(fns, (chi5, triv, chi5), (0.0, 0.4, -0.25))
     )
 
     def dagger(fn, fr, m):
@@ -420,7 +417,7 @@ def test_residue_triple_gate_brute_force(N):
         brute += tabs[0][u] * tabs[1][v] * tabs[2][(coeffs[0] * u + coeffs[1] * v) % N]
     brute /= N**2
     assert abs(brute) > 1e-3
-    assert abs(residue_triple_gate(N, *fns, frames, coeffs) - brute) < 1e-12
+    assert abs(residue_triple_gate(N, frames, coeffs) - brute) < 1e-12
 
 
 def test_estar_table_matches_exact_sum():

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ import jsonschema
 from pretsums.cli import _fmt, main
 from pretsums.expsum import arc_decompose_Rf, classify_alpha
 from pretsums.funcspec import parse_multfunc
-from pretsums.pretentious import select_global_frame
 
 PREDICTION_SCHEMA = {
     "type": "object",
@@ -148,13 +148,12 @@ def test_scan_rows_match_classifier_and_arc_split():
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert len(rows) == M
     f = parse_multfunc("legendre:5")
-    frame = select_global_frame(f, x)
     major = 0
     for k, (_, _, regime, absM, _) in enumerate(rows):
         assert regime == classify_alpha(Fraction(k, M), x).regime, k
         if regime == "major":
             major += 1
-            split = arc_decompose_Rf(f, Fraction(k, M), x, frame=frame)
+            split = arc_decompose_Rf(f, Fraction(k, M), x)
             assert absM == _fmt(abs(split.M)), k
     assert major == 1545
 
@@ -208,6 +207,8 @@ def test_exit_codes(tmp_path):
         (["arcs", "alpha=1/3", "x=1000", "--seed", "7"], 2),
         (["twisted", "f=one", "h=one", "q=-5", "x=100"], 1),
         (["twisted", "f=one", "h=one", "q=0", "x=100"], 1),
+        (["pretend", "f=one", "x=-4", "q=3"], 1),
+        (["twisted", "f=one", "h=kloosterman:1,1", "q=7", "x=-3"], 1),
     ]
     for args, code in env_runs:
         r = subprocess.run(
@@ -216,6 +217,21 @@ def test_exit_codes(tmp_path):
         assert r.returncode == code, (args, r.returncode, r.stderr)
         assert "Traceback" not in r.stderr, (args, r.stderr)
         assert len(r.stderr.splitlines()) == 1, (args, r.stderr)
+
+
+def test_warning_is_one_stderr_line_and_reaches_callers():
+    """A warning prints as one `warning:` line with no source path, and an
+    in-process caller that records warnings still receives it."""
+    args = ["expsum", "predict", "f=legendre:5", "alpha=2/5", "x=3"]
+    message = "q=2 is outside the supported range q <= Q1 = 0.1; computing anyway"
+    r = subprocess.run([sys.executable, "-m", "pretsums.cli", *args], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr.splitlines() == [f"warning: {message}"]
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _ = run(args)
+    assert rc == 0 and [str(w.message) for w in caught] == [message]
+    assert warnings.formatwarning is formatwarning
 
 
 def test_constructor_domain_errors(tmp_path, capsys):

@@ -27,6 +27,7 @@ from pretsums.expsum import (
     direct_sum_rational,
     err_budget,
     exponential_sum_grid,
+    frame_term,
     friable_sum,
     identity_41_residual,
     minor_arc_energy,
@@ -48,13 +49,14 @@ from pretsums.multfunc import (
     RandomSign,
     _exact_dot,
     eval_range,
+    k_factor,
     legendre,
     liouville,
     mean_value,
     periodic_sum,
     twist,
 )
-from pretsums.pretentious import select_frames
+from pretsums.pretentious import Frame, _frame, select_frames
 
 FIB = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584,
        4181, 6765, 10946, 17711, 28657, 46368, 75025, 121393, 196418, 317811, 514229}
@@ -181,7 +183,7 @@ def test_predict_twisted_reduces_to_theorem1(sieve):
         h = periodic_exp_fraction(q)
         frames = select_frames(f, x, q, 3)
         for fr in frames:
-            c = twisted_coefficient(f, h, fr)
+            c = twisted_coefficient(h, fr)
             kap = KappaFunction(f, fr.psi, fr.t)
             expect = fr.psi.gauss_sum() * kap.eval(q // fr.r)
             assert abs(c - expect) < 1e-9, (q, fr.r)
@@ -252,6 +254,30 @@ def test_s_f_chi_predict(sieve):
     )
     rep = s_f_chi_predict(legendre(5), chi10, 2, 10**5)
     assert rep.rel_discrepancy < 1e-2
+
+
+@pytest.mark.parametrize("spec", ["legendre:5", "randpm:2*char:7:2", "nit:0.5*legendre:5"])
+def test_frame_owns_main_term_inputs(sieve, spec):
+    """A frame's f_j, kappa and S_{f_j}(x) are the twist of its f at its
+    (psi, t) and x, and the predictors' terms carry the S and t of their frames."""
+    f, x, q = parse_multfunc(spec), 20000, 35
+    frames = select_frames(f, x, q, 3)
+    for fr in frames:
+        assert fr.f is f and fr.x == x and fr.r == fr.psi.q
+        assert fr.S == mean_value(twist(f, fr.psi, fr.t), x)
+        assert fr.f_j is fr.kappa.f_j
+        assert fr.kappa == KappaFunction(f, fr.psi, fr.t)
+    for rep in (predict_theorem1(f, 2, q, 0.0, x, 3), predict_twisted(f, periodic_exp_fraction(q), x, 3)):
+        assert [(tm.r, tm.t, tm.S) for tm in rep.terms] == [(fr.r, fr.t, complex(fr.S)) for fr in frames]
+
+
+def test_s_f_chi_predict_is_frame_term_of_its_frame(sieve):
+    chi = next(c for c in enumerate_characters(15) if c.primitive()[1] == 5)
+    for f, ell in ((legendre(5), 2), (parse_multfunc("randpm:2*char:7:2"), 3)):
+        rep = s_f_chi_predict(f, chi, ell, 20000)
+        fr = _frame(f, 20000, chi, chi.primitive()[0])
+        term = frame_term(1, fr, k_factor(fr.f_j, chi.q) / ell ** (1 + 1j * fr.t), 0.0, 1)
+        assert rep.terms == [term] and rep.predicted == term.value
 
 
 def test_identity_41(sieve):
@@ -413,13 +439,16 @@ def test_pls_tail_decay(sieve):
 
 
 def test_pls_tail_rejects_a_frame_count_below_one(sieve):
-    """J = 1 sums every character; J < 1 is a domain error, as in select_frames."""
+    """J = 1 sums every character; J < 1 and x < 3 are domain errors, as in select_frames."""
     f = legendre(5)
     every = sum(abs(mean_value(f, 10**4, chi)) ** 2 for chi in enumerate_characters(5))
     assert pls_tail(f, 10**4, 5, 1) == pytest.approx(every, rel=1e-12)
     for J in (0, -1):
         with pytest.raises(DomainError):
             pls_tail(f, 10**4, 5, J)
+    for x in (2, -3):
+        with pytest.raises(DomainError):
+            pls_tail(f, x, 5, 3)
 
 
 @pytest.mark.parametrize("order", [3, 6])
@@ -430,7 +459,8 @@ def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
     psi = next(c for c in enumerate_characters(7) if c.order == order)
     x = 2000
     for f in (liouville(), RandomSign(3), ProductMF((RandomSign(5), ArchTwist(0.7)))):
-        kappa = KappaFunction(f, psi, t)
+        fr = Frame(f=f, x=x, chi=psi, psi=psi, t=t, score=1.0)
+        kappa = fr.kappa
         v = eval_range(twist(f, psi, t), x)
         gauss = psi.conjugate()(1) * psi.gauss_sum()
         for p in sieve.primes_upto(x).tolist():
@@ -439,7 +469,7 @@ def test_kappa_reads_the_prime_values_of_s_fj(sieve, order, t):
             fj, psip = complex(v[p]), psi(p)
             assert kappa.at_prime_power(p, 1) == psip * (fj - 1), (f, p)
             assert kappa.at_prime_power(p, 2) == psip**2 * (fj**2 - fj), (f, p)
-            coeff = theorem1_coefficient(kappa, 1, 7 * p)
+            coeff = theorem1_coefficient(fr, 1, 7 * p)
             assert coeff == gauss * (psip * (fj - 1)), (f, p)
 
 

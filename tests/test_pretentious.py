@@ -62,30 +62,30 @@ def test_dirichlet_modulus_comparisons(sieve):
 
 
 def test_select_t_basics(sieve):
-    assert select_t(One(), 10**4, math.log(10**4)) == 0.0
+    assert select_t(One(), 10**4) == 0.0
     # construction oracle: f(p) = p^{i t0} recovers t0
-    t = select_t(ArchTwist(1.0), 10**4, math.log(10**4))
+    t = select_t(ArchTwist(1.0), 10**4)
     assert abs(t - 1.0) < 1e-3
     # real f with small distance: the score at t* dominates the score at 0
     f = PrimeTable(((2, -1),))
-    t = select_t(f, 10**4, math.log(10**4))
+    t = select_t(f, 10**4)
     s_star = dirichlet_modulus(f, 10**4, t)
     assert s_star >= dirichlet_modulus(f, 10**4, 0.0) - 1e-12
 
 
 def test_select_t_rejects_negative_range():
-    with pytest.raises(DomainError):
-        select_t(liouville(), 1000, -1.0)
-    with pytest.raises(DomainError):
-        select_t(liouville(), 1000, float("nan"))
-    assert select_t(liouville(), 1000, 0.0) == 0.0
+    """The range is [-log x, log x]; x >= 3 is required, which rejects every
+    x whose range is negative or empty (x = 1) along with x = 2."""
+    for x in (2, 1, 0, -4):
+        with pytest.raises(DomainError):
+            select_t(liouville(), x)
 
 
 def test_select_t_argmax_dominates_grid(sieve):
     """Refinement never lands below any grid point."""
     x = 3000
     for f in (liouville(), RandomSign(4), legendre(7)):
-        t_star = select_t(f, x, math.log(x))
+        t_star = select_t(f, x)
         s_star = dirichlet_modulus(f, x, t_star)
         step = 1.0 / (4 * math.log(x))
         K = int(math.log(x) / step)
@@ -152,10 +152,12 @@ def test_select_frames(sieve):
     assert frames[0].chi.exponents == legendre(5).chi.exponents
     # ranking dominance: top frame's s-value is the max
     assert all(frames[0].s_value >= fr.s_value for fr in frames)
-    # the top J - 1 frames: none at J = 1, and J < 1 is rejected
+    # the top J - 1 frames: none at J = 1, and J < 1 is rejected, as is x < 3
     assert select_frames(legendre(5), 10**5, 5, 1) == []
     with pytest.raises(DomainError):
         select_frames(legendre(5), 10**5, 5, 0)
+    with pytest.raises(DomainError):
+        select_frames(legendre(5), -4, 5, 3)
 
 
 def test_pretentious_distance(sieve):
