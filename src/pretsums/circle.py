@@ -441,7 +441,7 @@ def _product_principal(psis: list[DirichletCharacter]) -> bool:
 
 @dataclass
 class TripleReport:
-    problem_scale: int
+    scale: int
     mode: str
     oracle_count: complex
     oracle_density: complex
@@ -459,19 +459,6 @@ class TripleReport:
         if self.predicted_density == 0:
             return None
         return self.abs_discrepancy / abs(self.predicted_density)
-
-    def to_dict(self) -> dict:
-        return {
-            "scale": self.problem_scale,
-            "mode": self.mode,
-            "oracle_count": [self.oracle_count.real, self.oracle_count.imag],
-            "oracle_density": [self.oracle_density.real, self.oracle_density.imag],
-            "predicted_density": [self.predicted_density.real, self.predicted_density.imag],
-            "path": self.path,
-            "factors": self.factors,
-            "abs_discrepancy": self.abs_discrepancy,
-            "rel_discrepancy": self.rel_discrepancy,
-        }
 
 
 PMAX = 10**6  # the real-unit route takes the E* product over p <= PMAX
@@ -620,33 +607,32 @@ def c2_product(pmax: int = 10**6) -> float:
     return float(np.exp(np.sum(np.log(terms))))
 
 
+def _onepattern_max(t_max: float) -> tuple[float, dict]:
+    """The max of _onepattern_value over small prime sets P and 2001 points t
+    in [0, t_max], with its argmax."""
+    csets = [(), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5)]
+    P, t = max(
+        ((P, t) for P in csets for t in np.linspace(0, t_max, 2001)),
+        key=lambda pt: _onepattern_value(pt[0], pt[1]),
+    )
+    return _onepattern_value(P, t), {"P": list(P), "t": float(t)}
+
+
 def extremal_table(pmax: int = 10**6) -> dict:
     """The extremal sign-pattern constants, each reproduced by maximizing the
     cubic density expression over small prime sets and the allowed t range."""
     d0 = delta0()
-    csets = [(), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5)]
-
-    best_pp = max(
-        ((P, t) for P in csets for t in np.linspace(0, 1, 2001)),
-        key=lambda pt: _onepattern_value(pt[0], pt[1]),
-    )
-    val_pp = _onepattern_value(*best_pp)
-
-    best_mm = max(
-        ((P, t) for P in csets for t in np.linspace(0, d0, 2001)),
-        key=lambda pt: _onepattern_value(pt[0], pt[1]),
-    )
-    val_mm = _onepattern_value(*best_mm)
-
+    val_pp, argmax_pp = _onepattern_max(1)
+    val_mm, argmax_mm = _onepattern_max(d0)
     return {
         "delta0": d0,
         "kappa": cor2_constants()[0],
         "kappa_prime": cor2_constants()[1],
         "C2_product": c2_product(pmax),
         "eight_forty_fifths": val_pp,
-        "eight_forty_fifths_argmax": {"P": list(best_pp[0]), "t": float(best_pp[1])},
+        "eight_forty_fifths_argmax": argmax_pp,
         "two_minus_one_max": val_mm,
-        "two_minus_one_argmax": {"P": list(best_mm[0]), "t": float(best_mm[1])},
+        "two_minus_one_argmax": argmax_mm,
         "mixed_max": {"mu1": (1.0 + d0) / 2.0, "mu2": ((1.0 + d0) / 2.0) ** 2},
     }
 
@@ -664,7 +650,6 @@ def signpattern_density(
     eps2: int,
     eps3: int,
     x: int,
-    z: float | None = None,
 ) -> tuple[float, float]:
     """(oracle, predicted) density of a + b = c <= x with f(a) = eps1,
     g(b) = eps2, h(c) = eps3, for {-1,1}-valued weights (a zero of f, g or
@@ -675,15 +660,14 @@ def signpattern_density(
     8 x^2/2, from one exact convolution of the 0/1/2-valued arrays
     1 + eps1 f and 1 + eps2 g, weighted by 1 + eps3 h(c).
     Prediction: the independent-product form corrected by (C_P - 1) on the
-    triple term, P = {p <= z : f(p) = g(p) = h(p) = -1}.
+    triple term, P = {p <= log x : f(p) = g(p) = h(p) = -1}.
     """
     if any(e not in (-1, 1) for e in (eps1, eps2, eps3)):
         raise DomainError("sign pattern entries must be +-1")
     if not (f.exact_int and g.exact_int and h.exact_int):
         raise DomainError("sign patterns need {-1,0,1}-valued weights")
     x = int(x)
-    if z is None:
-        z = math.log(x)
+    z = math.log(x)
 
     def weights(fn: MultFunc, eps: int) -> np.ndarray:
         w = 1.0 + eps * eval_range(fn, x).astype(np.float64)

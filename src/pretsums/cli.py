@@ -3,6 +3,9 @@
 Subcommands take `key=value` tokens plus `--format json|csv` and `--out FILE`.
 Random functions take their seed in the spec (`randpm:SEED`).  Exit codes: 0
 success, 1 domain error, 2 parse error.  Output is deterministic for fixed argv.
+The subcommands are the name -> handler table SUBCOMMANDS.  JSON output
+serializes a report from its fields and properties by name, complex numbers as
+[re, im] (see jsonable).
 
     pretsums constants
     pretsums oscint x=1000 beta=0.01 t=2.5
@@ -19,25 +22,15 @@ success, 1 domain error, 2 parse error.  Output is deterministic for fixed argv.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import warnings
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError, ParseError
 from .funcspec import finite_float
-
-SUBCOMMANDS = (
-    "expsum",
-    "pretend",
-    "oscint",
-    "triples",
-    "partition",
-    "constants",
-    "arcs",
-    "energy",
-    "twisted",
-)
 
 
 def _fmt(x: float) -> str:
@@ -108,11 +101,12 @@ def _float(kv: dict, key: str, default=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (json_obj, csv_rows, csv_header)
+# subcommand handlers: each returns (json_obj, csv_rows, csv_header), with
+# reports left for jsonable to serialize
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constants(kv, flags):
+def _cmd_constants(kv):
     from .circle import extremal_table
 
     tab = extremal_table()
@@ -130,7 +124,7 @@ def _cmd_constants(kv, flags):
     return obj, rows, header
 
 
-def _cmd_oscint(kv, flags):
+def _cmd_oscint(kv):
     from .oscint import I_bound, I_value
 
     x = _float(kv, "x")
@@ -147,40 +141,38 @@ def _cmd_oscint(kv, flags):
     return obj, [[_fmt(v.real), _fmt(v.imag), _fmt(obj["bound"]), method]], ["re", "im", "bound", "method"]
 
 
-def _cmd_expsum(kv, flags, action):
+def _cmd_expsum(kv, action):
     from .expsum import classify_alpha, direct_sum_rational, predict_theorem1
     from .funcspec import parse_multfunc
 
     f = parse_multfunc(_need(kv, "f"))
     x = _int(kv, "x")
     if action == "scan":
-        return _cmd_scan(kv, flags, f, x)
+        return _cmd_scan(kv, f, x)
     alpha = _parse_alpha(_need(kv, "alpha"))
     eps = _float(kv, "eps", 0.1)
     arc = classify_alpha(alpha, x, eps)
     if action == "direct":
         v = direct_sum_rational(f, arc.a, arc.q, arc.beta, x)
-        obj = {"arc": arc.to_dict(), "re": v.real, "im": v.imag, "abs": abs(v)}
+        obj = {"arc": arc, "re": v.real, "im": v.imag, "abs": abs(v)}
         return obj, [[_fmt(v.real), _fmt(v.imag), _fmt(abs(v))]], ["re", "im", "abs"]
-    if action == "predict":
-        J = _int(kv, "J", 3)
-        rep = predict_theorem1(f, arc.a, arc.q, arc.beta, x, J, eps)
-        obj = {"arc": arc.to_dict(), **rep.to_dict()}
-        rows = [
-            [
-                _fmt(rep.oracle.real),
-                _fmt(rep.oracle.imag),
-                _fmt(rep.predicted.real),
-                _fmt(rep.predicted.imag),
-                _fmt(rep.err_budget),
-                _fmt(rep.abs_discrepancy),
-            ]
+    J = _int(kv, "J", 3)
+    rep = predict_theorem1(f, arc.a, arc.q, arc.beta, x, J, eps)
+    obj = {"arc": arc, **jsonable(rep)}
+    rows = [
+        [
+            _fmt(rep.oracle.real),
+            _fmt(rep.oracle.imag),
+            _fmt(rep.predicted.real),
+            _fmt(rep.predicted.imag),
+            _fmt(rep.err_budget),
+            _fmt(rep.abs_discrepancy),
         ]
-        return obj, rows, ["oracle_re", "oracle_im", "pred_re", "pred_im", "err_budget", "abs_disc"]
-    raise ParseError(f"unknown expsum action {action!r}; use direct, predict, or scan")
+    ]
+    return obj, rows, ["oracle_re", "oracle_im", "pred_re", "pred_im", "err_budget", "abs_disc"]
 
 
-def _cmd_scan(kv, flags, f, x):
+def _cmd_scan(kv, f, x):
     from .expsum import _mark_major, arc_main_term, classify_alpha, exponential_sum_grid, thresholds
     from .pretentious import select_global_frame
 
@@ -207,7 +199,7 @@ def _cmd_scan(kv, flags, f, x):
     return obj, rows, header
 
 
-def _cmd_pretend(kv, flags):
+def _cmd_pretend(kv):
     from .pretentious import pretentious_distance, select_frames
 
     from .funcspec import parse_multfunc
@@ -238,19 +230,18 @@ def _cmd_pretend(kv, flags):
     return obj, rows, ["psi_index", "r", "t", "score", "distance"]
 
 
-def _cmd_arcs(kv, flags):
+def _cmd_arcs(kv):
     from .expsum import classify_alpha
 
     alpha = _parse_alpha(_need(kv, "alpha"))
     x = _int(kv, "x")
     eps = _float(kv, "eps", 0.1)
     arc = classify_alpha(alpha, x, eps)
-    obj = arc.to_dict()
     rows = [[str(arc.a), str(arc.q), _fmt(arc.beta), arc.regime]]
-    return obj, rows, ["a", "q", "beta", "regime"]
+    return arc, rows, ["a", "q", "beta", "regime"]
 
 
-def _cmd_energy(kv, flags):
+def _cmd_energy(kv):
     from .expsum import minor_arc_energy
     from .funcspec import parse_multfunc
 
@@ -259,12 +250,11 @@ def _cmd_energy(kv, flags):
     M = _int(kv, "grid", 0) or None
     eps = _float(kv, "eps", 0.1)
     rep = minor_arc_energy(f, x, M, eps)
-    obj = rep.to_dict()
     rows = [[_fmt(rep.total_energy), _fmt(rep.minor_energy), _fmt(rep.minor_ratio)]]
-    return obj, rows, ["total_energy", "minor_energy", "minor_ratio"]
+    return rep, rows, ["total_energy", "minor_energy", "minor_ratio"]
 
 
-def _cmd_twisted(kv, flags):
+def _cmd_twisted(kv):
     from .expsum import predict_twisted
     from .funcspec import parse_multfunc, parse_periodic
 
@@ -274,7 +264,6 @@ def _cmd_twisted(kv, flags):
     x = _int(kv, "x")
     J = _int(kv, "J", 3)
     rep = predict_twisted(f, h, x, J)
-    obj = rep.to_dict()
     rows = [
         [
             _fmt(rep.oracle.real),
@@ -284,10 +273,10 @@ def _cmd_twisted(kv, flags):
             _fmt(rep.abs_discrepancy),
         ]
     ]
-    return obj, rows, ["oracle_re", "oracle_im", "pred_re", "pred_im", "abs_disc"]
+    return rep, rows, ["oracle_re", "oracle_im", "pred_re", "pred_im", "abs_disc"]
 
 
-def _cmd_triples(kv, flags, mode):
+def _cmd_triples(kv, mode):
     from .circle import TripleProblem, predict_triples
     from .funcspec import parse_multfunc
 
@@ -301,7 +290,6 @@ def _cmd_triples(kv, flags, mode):
     else:
         prob = TripleProblem(f, g, h, mode="partition", N=_int(kv, "N"))
     rep = predict_triples(prob, _float(kv, "z") if "z" in kv else None)
-    obj = rep.to_dict()
     rows = [
         [
             _fmt(rep.oracle_density.real),
@@ -310,12 +298,24 @@ def _cmd_triples(kv, flags, mode):
             rep.path,
         ]
     ]
-    return obj, rows, ["oracle_density", "predicted_density", "rel_disc", "path"]
+    return rep, rows, ["oracle_density", "predicted_density", "rel_disc", "path"]
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+SUBCOMMANDS = {
+    "expsum": _cmd_expsum,
+    "pretend": _cmd_pretend,
+    "oscint": _cmd_oscint,
+    "triples": partial(_cmd_triples, mode="linear"),
+    "partition": partial(_cmd_triples, mode="partition"),
+    "constants": _cmd_constants,
+    "arcs": _cmd_arcs,
+    "energy": _cmd_energy,
+    "twisted": _cmd_twisted,
+}
 
 
 def _dispatch(argv: list[str]):
@@ -324,37 +324,37 @@ def _dispatch(argv: list[str]):
     cmd, rest = argv[0], argv[1:]
     if cmd not in SUBCOMMANDS:
         raise ParseError(f"unknown subcommand {cmd!r}; expected one of {', '.join(SUBCOMMANDS)}")
-    action = None
+    handler = SUBCOMMANDS[cmd]
     if cmd == "expsum":
         if not rest or rest[0] not in ("direct", "predict", "scan"):
             raise ParseError("expsum needs an action: direct, predict, or scan")
-        action, rest = rest[0], rest[1:]
+        handler, rest = partial(handler, action=rest[0]), rest[1:]
     kv, flags = _parse_tokens(rest)
-    if cmd == "constants":
-        return _cmd_constants(kv, flags), flags
-    if cmd == "oscint":
-        return _cmd_oscint(kv, flags), flags
-    if cmd == "expsum":
-        return _cmd_expsum(kv, flags, action), flags
-    if cmd == "pretend":
-        return _cmd_pretend(kv, flags), flags
-    if cmd == "arcs":
-        return _cmd_arcs(kv, flags), flags
-    if cmd == "energy":
-        return _cmd_energy(kv, flags), flags
-    if cmd == "twisted":
-        return _cmd_twisted(kv, flags), flags
-    if cmd == "triples":
-        return _cmd_triples(kv, flags, "linear"), flags
-    if cmd == "partition":
-        return _cmd_triples(kv, flags, "partition"), flags
-    raise ParseError(f"unhandled subcommand {cmd!r}")
+    return handler(kv), flags
+
+
+def jsonable(obj):
+    """obj as plain JSON values: a dataclass becomes a dict of its fields and
+    properties by name, a complex number [re, im]; lists, tuples and dicts
+    recurse, and anything else is returned as it is."""
+    if dataclasses.is_dataclass(obj):
+        cls = type(obj)
+        names = [fd.name for fd in dataclasses.fields(cls)]
+        names += [k for k in dir(cls) if isinstance(getattr(cls, k), property)]
+        return {k: jsonable(getattr(obj, k)) for k in names}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    return obj
 
 
 def render(result, flags) -> str:
     obj, rows, header = result
     if flags["format"] == "json":
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
     lines = [",".join(header)]
     lines += [",".join(str(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"

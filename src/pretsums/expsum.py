@@ -114,22 +114,6 @@ class ArcDecomposition:
     major_sec6: bool  # literal narrow-arc tag: denominator <= x/Q
     in_qrange_window: bool  # |beta| <= log q loglog q / x with q <= Q1
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "a": self.a,
-            "q": self.q,
-            "beta": self.beta,
-            "x": self.x,
-            "eps": self.eps,
-            "Q": self.Q,
-            "Q1": self.Q1,
-            "Q3": self.Q3,
-            "regime": self.regime,
-            "major_sec6": self.major_sec6,
-            "in_qrange_window": self.in_qrange_window,
-        }
-
 
 def thresholds(x: int, eps: float = 0.1) -> tuple[float, float]:
     """(Q, Q1) for scale x >= 3 and 0 < eps <= 1: Q = x/(log x)^{tau - eps},
@@ -220,25 +204,13 @@ def classify_alpha(alpha, x: int, eps: float = 0.1) -> ArcDecomposition:
 @dataclass
 class FrameTerm:
     j: int
-    chi_exponents: tuple[int, ...]
+    chi: tuple[int, ...]  # the exponents of the ranked character chi, not the character
     r: int
     t: float
     coefficient: complex  # everything multiplying I * S / phi(q)
     I: complex
     S: complex
     value: complex
-
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "chi": list(self.chi_exponents),
-            "r": self.r,
-            "t": self.t,
-            "coefficient": [self.coefficient.real, self.coefficient.imag],
-            "I": [self.I.real, self.I.imag],
-            "S": [self.S.real, self.S.imag],
-            "value": [self.value.real, self.value.imag],
-        }
 
 
 @dataclass
@@ -258,16 +230,6 @@ class PredictionReport:
         if self.oracle == 0:
             return None
         return self.abs_discrepancy / abs(self.oracle)
-
-    def to_dict(self) -> dict:
-        return {
-            "oracle": [self.oracle.real, self.oracle.imag],
-            "predicted": [self.predicted.real, self.predicted.imag],
-            "terms": [t.to_dict() for t in self.terms],
-            "err_budget": self.err_budget,
-            "abs_discrepancy": self.abs_discrepancy,
-            "rel_discrepancy": self.rel_discrepancy,
-        }
 
 
 def err_budget(x: int, q: int, J: int) -> float:
@@ -486,18 +448,6 @@ class EnergyReport:
     minor_energy: float
     major_energy: float
     minor_ratio: float  # minor energy / x
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "M": self.M,
-            "eps": self.eps,
-            "total_energy": self.total_energy,
-            "coefficient_energy": self.coefficient_energy,
-            "minor_energy": self.minor_energy,
-            "major_energy": self.major_energy,
-            "minor_ratio": self.minor_ratio,
-        }
 
 
 def minor_arc_energy(

@@ -126,9 +126,9 @@ def _parse_atom(token: str) -> MultFunc:
     raise ParseError(f"unknown function spec token {token!r}")
 
 
-def _load_prime_table(path: str) -> PrimeTable:
-    items = []
-    last_p = 0
+def _table_rows(path: str, kind: str, key: str):
+    """(int, complex) for each line `key re im` of a table file; blank and `#`
+    lines are skipped.  kind names the table in parse errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -139,15 +139,22 @@ def _load_prime_table(path: str) -> PrimeTable:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"table line needs 'p re im', got {line!r}")
+            raise ParseError(f"{kind} line needs '{key} re im', got {line!r}")
         try:
-            p, re_s, im_s = int(parts[0]), finite_float(parts[1]), finite_float(parts[2])
+            row = int(parts[0]), complex(finite_float(parts[1]), finite_float(parts[2]))
         except ValueError as exc:
-            raise ParseError(f"bad table line {line!r}: {exc}") from exc
+            raise ParseError(f"bad {kind} line {line!r}: {exc}") from exc
+        yield row
+
+
+def _load_prime_table(path: str) -> PrimeTable:
+    items = []
+    last_p = 0
+    for p, v in _table_rows(path, "table", "p"):
         if p <= last_p:
             raise ParseError(f"table primes must be ascending, got {p} after {last_p}")
         last_p = p
-        items.append((p, complex(re_s, im_s)))
+        items.append((p, v))
     return PrimeTable(tuple(items))
 
 
@@ -198,23 +205,9 @@ def _load_periodic_table(path: str, q: int) -> PeriodicFunction:
 
     tab = np.zeros(q, dtype=np.complex128)
     seen = set()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read table file {path!r}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"periodic table line needs 'n re im', got {line!r}")
-        try:
-            n = int(parts[0]) % q
-            tab[n] = complex(finite_float(parts[1]), finite_float(parts[2]))
-        except ValueError as exc:
-            raise ParseError(f"bad periodic table line {line!r}: {exc}") from exc
-        seen.add(n)
+    for n, v in _table_rows(path, "periodic table", "n"):
+        tab[n % q] = v
+        seen.add(n % q)
     if len(seen) != q:
         raise ParseError(f"periodic table must list all {q} residues, got {len(seen)}")
     return periodic_from_table(q, tab)

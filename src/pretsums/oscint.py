@@ -87,8 +87,8 @@ def I_quadrature(x: float, beta: float, t: float) -> complex:
     return complex(total / x)
 
 
-def I_bound(x: float, beta: float, t: float, constant: float = 8.0) -> float:
-    """constant * min(1, 1/sqrt|t|, (1 + sqrt|t|)/(|beta| x)).
+def I_bound(x: float, beta: float, t: float) -> float:
+    """8 min(1, 1/sqrt|t|, (1 + sqrt|t|)/(|beta| x)).
 
     The implied constant is pinned empirically at 8; bound violations are
     test failures prompting a constant review, not silent passes.
@@ -100,7 +100,7 @@ def I_bound(x: float, beta: float, t: float, constant: float = 8.0) -> float:
         b = min(b, 1.0 / math.sqrt(abs(t)))
     if beta != 0:
         b = min(b, (1.0 + math.sqrt(abs(t))) / (abs(beta) * x))
-    return constant * b
+    return 8.0 * b
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,10 @@ _N_MID = 1 << 20
 _L_FFT = 1 << 23
 
 
-def _series_small(gammas: np.ndarray, t: float, delta: float = _DELTA_SMALL) -> np.ndarray:
-    """int_0^delta w^{it} e(gamma w) dw by the entire series in (2 pi i gamma delta)."""
+def _series_small(gammas: np.ndarray, t: float) -> np.ndarray:
+    """int_0^delta w^{it} e(gamma w) dw, delta = _DELTA_SMALL, by the entire
+    series in (2 pi i gamma delta)."""
+    delta = _DELTA_SMALL
     z = 2j * np.pi * gammas * delta
     out = np.zeros(len(gammas), dtype=np.complex128)
     term = np.ones(len(gammas), dtype=np.complex128)

@@ -71,10 +71,11 @@ def select_t(f: MultFunc, x: int) -> float:
     golden-section refinement to width 1e-4 around the best grid point.
     Ties resolve to the smallest t.
 
-    For large x the grid is scanned in two exact stages: primes above 1e5
-    perturb the log-score by at most B = sum (w + w^2), so only grid points
-    whose truncated score is within 2B of the truncated maximum can carry
-    the true maximum; those are re-scored with all primes.
+    The grid is scanned in two exact stages: primes above 1e5 perturb the
+    log-score by at most B = sum (w + w^2), so only grid points whose score
+    over the primes <= 1e5 is within 2B of its maximum can carry the true
+    maximum; those are re-scored with all primes.  For x <= 1e5, B = 0 and
+    only the tied maxima are re-scored.
     """
     if x < 3:
         raise DomainError(f"select_t needs x >= 3, got {x}")
@@ -86,20 +87,13 @@ def select_t(f: MultFunc, x: int) -> float:
     step = 1.0 / (4.0 * math.log(x))
     K = int(math.floor(T / step))
     ts = np.arange(-K, K + 1) * step
-    cut = math.log(_COARSE_CUT)
-    if lnp[-1] > cut and len(lnp) > 2 * _COARSE_CUT ** 0.5:
-        head = lnp <= cut
-        tail_b = float(np.sum(w[~head] + w[~head] ** 2))
-        coarse = _log_modulus(ts, lnp[head], w[head], theta[head])
-        cand = np.nonzero(coarse >= np.max(coarse) - 2.0 * tail_b)[0]
-        scores_c = _log_modulus(ts[cand], lnp, w, theta)
-        best_c = int(np.argmax(scores_c))
-        best = int(cand[best_c])
-        t_best, s_best = float(ts[best]), float(scores_c[best_c])
-    else:
-        scores = _log_modulus(ts, lnp, w, theta)
-        best = int(np.argmax(scores))
-        t_best, s_best = float(ts[best]), float(scores[best])
+    head = lnp <= math.log(_COARSE_CUT)
+    tail_b = float(np.sum(w[~head] + w[~head] ** 2))
+    coarse = _log_modulus(ts, lnp[head], w[head], theta[head])
+    cand = np.nonzero(coarse >= np.max(coarse) - 2.0 * tail_b)[0]
+    scores = _log_modulus(ts[cand], lnp, w, theta)
+    best = int(np.argmax(scores))
+    t_best, s_best = float(ts[cand[best]]), float(scores[best])
 
     lo = max(-T, t_best - step)
     hi = min(T, t_best + step)

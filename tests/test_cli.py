@@ -3,65 +3,111 @@ import json
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pretsums.cli import _fmt, main
+from pretsums.cli import SUBCOMMANDS, _fmt, jsonable, main, render
 from pretsums.expsum import arc_decompose_Rf, classify_alpha
 from pretsums.funcspec import parse_multfunc
 
-PREDICTION_SCHEMA = {
-    "type": "object",
-    "required": ["oracle", "predicted", "terms", "err_budget", "abs_discrepancy"],
-    "properties": {
-        "oracle": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-        "predicted": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["j", "chi", "r", "t", "coefficient", "I", "S", "value"],
-            },
-        },
-        "abs_discrepancy": {"type": "number"},
-        "rel_discrepancy": {"type": "number"},
-    },
-}
+PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
-ARC_SCHEMA = {
-    "type": "object",
-    "required": ["alpha", "a", "q", "beta", "regime", "Q", "Q1", "Q3"],
-    "properties": {
+
+def exact_keys(properties: dict) -> dict:
+    """An object schema with exactly these keys: a renamed or new report field
+    is a test edit."""
+    return {
+        "type": "object",
+        "required": list(properties),
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+TERM_SCHEMA = exact_keys(
+    {
+        "j": {"type": "integer"},
+        "chi": {"type": "array", "items": {"type": "integer"}},
+        "r": {"type": "integer"},
+        "t": {"type": "number"},
+        "coefficient": PAIR,
+        "I": PAIR,
+        "S": PAIR,
+        "value": PAIR,
+    }
+)
+
+PREDICTION_SCHEMA = exact_keys(
+    {
+        "oracle": PAIR,
+        "predicted": PAIR,
+        "terms": {"type": "array", "items": TERM_SCHEMA},
+        "err_budget": {"type": "number"},
+        "abs_discrepancy": {"type": "number"},
+        "rel_discrepancy": {"type": ["number", "null"]},
+    }
+)
+
+ARC_SCHEMA = exact_keys(
+    {
+        "alpha": {"type": "number"},
         "a": {"type": "integer"},
         "q": {"type": "integer", "minimum": 1},
+        "beta": {"type": "number"},
+        "x": {"type": "integer"},
+        "eps": {"type": "number"},
+        "Q": {"type": "number"},
+        "Q1": {"type": "number"},
+        "Q3": {"type": "number"},
         "regime": {"enum": ["major", "minor"]},
-    },
-}
+        "major_sec6": {"type": "boolean"},
+        "in_qrange_window": {"type": "boolean"},
+    }
+)
 
-CONSTANTS_SCHEMA = {
-    "type": "object",
-    "required": [
-        "delta0",
-        "kappa",
-        "kappa_prime",
-        "C2_product",
-        "eight_forty_fifths",
-        "two_minus_one_max",
-        "mixed_max",
-    ],
-}
+CONSTANTS_SCHEMA = exact_keys(
+    {
+        "delta0": {"type": "number"},
+        "kappa": {"type": "number"},
+        "kappa_prime": {"type": "number"},
+        "C2_product": {"type": "number"},
+        "eight_forty_fifths": {"type": "number"},
+        "two_minus_one_max": {"type": "number"},
+        "mixed_max": {"type": "object"},
+    }
+)
 
-TRIPLES_SCHEMA = {
-    "type": "object",
-    "required": ["oracle_density", "predicted_density", "factors", "path", "rel_discrepancy"],
-}
+TRIPLES_SCHEMA = exact_keys(
+    {
+        "scale": {"type": "integer"},
+        "mode": {"enum": ["linear", "partition"]},
+        "oracle_count": PAIR,
+        "oracle_density": PAIR,
+        "predicted_density": PAIR,
+        "path": {"enum": ["real-unit", "generic"]},
+        "factors": {"type": "object"},
+        "abs_discrepancy": {"type": "number"},
+        "rel_discrepancy": {"type": ["number", "null"]},
+    }
+)
 
-ENERGY_SCHEMA = {
-    "type": "object",
-    "required": ["x", "M", "total_energy", "minor_energy", "major_energy", "minor_ratio"],
-}
+ENERGY_SCHEMA = exact_keys(
+    {
+        "x": {"type": "integer"},
+        "M": {"type": "integer"},
+        "eps": {"type": "number"},
+        "total_energy": {"type": "number"},
+        "coefficient_energy": {"type": "number"},
+        "minor_energy": {"type": "number"},
+        "major_energy": {"type": "number"},
+        "minor_ratio": {"type": "number"},
+    }
+)
 
 
 def run(args):
@@ -106,6 +152,41 @@ def test_triples_and_partition():
     rc, out = run(["partition", "f=one", "g=one", "h=one", "N=6"])
     obj = json.loads(out)
     assert rc == 0 and abs(obj["oracle_density"][0] - 10 / 18) < 1e-12
+    jsonschema.validate(obj, TRIPLES_SCHEMA)
+    assert obj["scale"] == 6 and obj["mode"] == "partition"
+
+
+@dataclass
+class _Inner:
+    z: complex
+
+    @property
+    def twice(self) -> complex:
+        return 2 * self.z
+
+
+@dataclass
+class _Outer:
+    items: list
+    pair: tuple
+    table: dict
+    missing: float | None
+
+
+def test_jsonable_serializes_fields_and_properties():
+    """Fields and properties by name, complex as [re, im] at any depth, tuples
+    as lists, and None as JSON null."""
+    report = _Outer([_Inner(1 + 2j)], (3, 4j), {"k": _Inner(-0.5 + 0j)}, None)
+    expected = {
+        "items": [{"z": [1.0, 2.0], "twice": [2.0, 4.0]}],
+        "pair": [3, [0.0, 4.0]],
+        "table": {"k": {"z": [-0.5, 0.0], "twice": [-1.0, 0.0]}},
+        "missing": None,
+    }
+    assert jsonable(report) == expected
+    assert jsonable(expected) == expected
+    text = render((report, [], []), {"format": "json"})
+    assert json.loads(text) == expected and '"missing": null' in text
 
 
 def test_arcs_energy_twisted():
@@ -279,3 +360,127 @@ def test_threads_env(monkeypatch):
     monkeypatch.setenv("PRETSUMS_THREADS", "junk")
     rc, out2 = run(["expsum", "scan", "f=one", "x=512", "grid=16", "--format", "csv"])
     assert rc == 0 and out == out2
+
+
+def test_table_file_messages(tmp_path, capsys):
+    """Each parse error of the prime-table and periodic-table readers exits 2
+    with its one stderr line; blank and `#` lines are skipped."""
+    missing = tmp_path / "missing.txt"
+
+    def table(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    def expsum(path):
+        return ["expsum", "direct", f"f=table:{path}", "alpha=1/3", "x=100"]
+
+    def twisted(path):
+        return ["twisted", "f=one", f"h=table:{path}", "q=3", "x=100"]
+
+    no_file = f"cannot read table file {str(missing)!r}: [Errno 2] No such file or directory: {str(missing)!r}"
+    cases = [
+        (expsum(missing), no_file),
+        (expsum(table("short.txt", "# p re im\n\n2 1\n")), "table line needs 'p re im', got '2 1'"),
+        (
+            expsum(table("int.txt", "2.5 1 0\n")),
+            "bad table line '2.5 1 0': invalid literal for int() with base 10: '2.5'",
+        ),
+        (
+            expsum(table("nan.txt", "2 nan 0\n")),
+            "bad table line '2 nan 0': non-finite number 'nan'",
+        ),
+        (expsum(table("order.txt", "3 -1 0\n2 -1 0\n")), "table primes must be ascending, got 2 after 3"),
+        (twisted(missing), no_file),
+        (
+            twisted(table("pshort.txt", "0 1 0 0\n")),
+            "periodic table line needs 'n re im', got '0 1 0 0'",
+        ),
+        (
+            twisted(table("pbad.txt", "0 x 0\n")),
+            "bad periodic table line '0 x 0': could not convert string to float: 'x'",
+        ),
+        (
+            twisted(table("pinf.txt", "0 1 inf\n")),
+            "bad periodic table line '0 1 inf': non-finite number 'inf'",
+        ),
+        (
+            twisted(table("pmiss.txt", "0 1 0\n4 1 0\n")),
+            "periodic table must list all 3 residues, got 2",
+        ),
+    ]
+    for args, message in cases:
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 2 and err == f"parse error: {message}\n", (args, rc, err)
+    ok = table("periodic.txt", "# n re im\n\n0 1 0\n  1 0.5 -0.5\n5 -1 0\n")
+    assert main([*twisted(ok), "J=1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+ARGV_VALUES = ["-5", "-1", "0", "1", "2", "3", "7", "100", "0.5", "1/0", "3/0", "nan", "x", ""]
+ARGV_FUNCTIONS = ["one", "minus-all", "legendre:5", "char:5:1", "randpm:3*nit:0.5"]
+ARGV_PERIODIC = ["one", "kloosterman:1,1", "expmod:poly=1,2,0", "charshift:1:2"]
+ARGV_MALFORMED = ["legendre:4", "char:5:x", "nope:3", "one*", ""]
+# the keys each handler reads
+ARGV_KEYS = {
+    "expsum": ["f", "x", "alpha", "eps", "J", "grid"],
+    "pretend": ["f", "x", "q", "J"],
+    "oscint": ["x", "beta", "t"],
+    "triples": ["f", "g", "h", "a", "b", "c", "x", "z"],
+    "partition": ["f", "g", "h", "N", "z"],
+    "arcs": ["alpha", "x", "eps"],
+    "energy": ["f", "x", "grid", "eps"],
+    "twisted": ["f", "h", "q", "x", "J"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv from the subcommand table (bar `constants`, which reads no
+    input) with the keys its handler reads: at most one left out, at most two
+    drawn from the full value or spec list and the rest valid, and maybe an
+    unknown key.  Every size stays <= 100."""
+    cmd = draw(st.sampled_from(sorted(set(SUBCOMMANDS) - {"constants"})))
+    argv = [cmd]
+    if cmd == "expsum":
+        argv.append(draw(st.sampled_from(["direct", "predict", "scan", "sideways"])))
+    keys = ARGV_KEYS[cmd]
+    omitted = draw(st.lists(st.sampled_from(keys), max_size=1))
+    wild = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    for key in keys + draw(st.lists(st.just("bogus"), max_size=1)):
+        if key in omitted:
+            continue
+        if key == "h" and cmd == "twisted":
+            valid = ARGV_PERIODIC
+        elif key in ("f", "g", "h"):
+            valid = ARGV_FUNCTIONS
+        else:
+            valid = ["0.5", "1"] if key == "eps" else ["3", "7", "100"]
+        if key in wild:
+            valid = valid + (ARGV_MALFORMED if key in ("f", "g", "h") else ARGV_VALUES)
+        argv.append(f"{key}={draw(st.sampled_from(valid))}")
+    fmt = draw(st.sampled_from([None, "json", "csv", "xml"]))
+    return argv if fmt is None else [*argv, "--format", fmt]
+
+
+def _stderr_warnings(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_argv_exits_cleanly(argv):
+    """Whatever the argv, main returns 0, 1 or 2 without an exception; a
+    failure is one stderr line, and a success writes only warnings there."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        warnings.showwarning = _stderr_warnings
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc:
+        assert len(lines) == 1, (argv, lines)
+    else:
+        assert all(line.startswith("warning: ") for line in lines), (argv, lines)
