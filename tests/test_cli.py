@@ -49,7 +49,7 @@ PREDICTION_SCHEMA = exact_keys(
         "terms": {"type": "array", "items": TERM_SCHEMA},
         "err_budget": {"type": "number"},
         "abs_discrepancy": {"type": "number"},
-        "rel_discrepancy": {"type": ["number", "null"]},
+        "rel_discrepancy": {"type": "number"},
     }
 )
 
@@ -422,7 +422,8 @@ ARGV_VALUES = ["-5", "-1", "0", "1", "2", "3", "7", "100", "0.5", "1/0", "3/0", 
 ARGV_FUNCTIONS = ["one", "minus-all", "legendre:5", "char:5:1", "randpm:3*nit:0.5"]
 ARGV_PERIODIC = ["one", "kloosterman:1,1", "expmod:poly=1,2,0", "charshift:1:2"]
 ARGV_MALFORMED = ["legendre:4", "char:5:x", "nope:3", "one*", ""]
-# the keys each handler reads
+# the keys each handler reads; test_argv_keys_are_the_keys_handlers_read
+# fails when a handler gains or drops one
 ARGV_KEYS = {
     "expsum": ["f", "x", "alpha", "eps", "J", "grid"],
     "pretend": ["f", "x", "q", "J"],
@@ -433,6 +434,47 @@ ARGV_KEYS = {
     "energy": ["f", "x", "grid", "eps"],
     "twisted": ["f", "h", "q", "x", "J"],
 }
+
+
+class _RecordingKV(dict):
+    """A kv dict that records every key looked up or tested."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_argv_keys_are_the_keys_handlers_read():
+    """ARGV_KEYS lists exactly the keys each handler reads, over all of its
+    actions, when given a valid value for every listed key."""
+    actions = {"expsum": ["direct", "predict", "scan"]}
+    valid = {"f": "one", "g": "one", "h": "one", "x": "100", "eps": "0.5"}
+    for cmd in sorted(set(SUBCOMMANDS) - {"constants"}):
+        read = set()
+        for action in actions.get(cmd, [None]):
+            grid = "201" if cmd == "energy" else "7"  # energy needs 2x + 1
+            kv = _RecordingKV({k: valid.get(k, grid if k == "grid" else "7") for k in ARGV_KEYS[cmd]})
+            handler = SUBCOMMANDS[cmd]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if action is None:
+                    handler(kv)
+                else:
+                    handler(kv, action=action)
+            read |= kv.read
+        assert read == set(ARGV_KEYS[cmd]), cmd
 
 
 @st.composite
